@@ -1,6 +1,7 @@
 """Scale-axis benchmark: graph generation throughput + sweep distribution.
 
-Two measurements, both written to ``BENCH_graphgen.json``:
+Three measurements, all written to ``BENCH_graphgen.json`` together with
+host metadata (visible cores, CPU model, git sha, numpy version):
 
 1. **Generation** — the whole-array generators of
    :mod:`repro.graphs.generators` against the per-client-loop baselines
@@ -10,7 +11,15 @@ Two measurements, both written to ``BENCH_graphgen.json``:
    ``erdos_renyi_bipartite``); the loop baselines are timed at a capped
    ``n`` and compared by edges/sec (see :func:`measure_generation` —
    the cap only *understates* the speedup).
-2. **Sweep end-to-end** — one fixed topology, 8 grid points × 32
+2. **Configuration model** — the families built by
+   ``_configuration_bipartite`` (``random_regular_bipartite``,
+   ``near_regular``, ``paper_extremal``) against the pre-rewrite build
+   path inlined below (full argsort per repair pass, then an edge-list
+   ``from_edges`` with an ``np.unique`` check and two lexsorts), at
+   ``n = 2048`` and ``n = 10⁵`` with ``Δ = ⌈log₂² n⌉`` (121 and 276).
+   Both paths must return byte-identical graphs before any timing is
+   reported.
+3. **Sweep end-to-end** — one fixed topology, 8 grid points × 32
    trials at ``n = 10⁵`` under the batched engine, comparing *per-task
    graph shipping* (the graph pickled into every pool task) against
    *SharedGraph + on-disk cache* (zero-copy worker views, construction
@@ -29,23 +38,32 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import platform
+import subprocess
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
 from repro.batch import run_trials_batched
 from repro.core.config import ProtocolParams
+from repro.errors import GraphConstructionError, GraphValidationError
 from repro.graphs import (
     community_bipartite,
     erdos_renyi_bipartite,
     geometric_bipartite,
+    near_regular,
+    paper_extremal,
+    random_regular_bipartite,
     trust_subsets,
 )
+from repro.graphs import generators
 from repro.graphs.bipartite import BipartiteGraph
 from repro.graphs.generators import _sample_distinct
 from repro.graphs.io import cached_graph
 from repro.parallel import ParameterGrid, run_sweep
+from repro.parallel.pool import available_cpus
 from repro.rng import make_rng
 
 
@@ -150,6 +168,87 @@ def _legacy_geometric(n_clients, n_servers, radius, seed=None, torus=True):
 
 
 # ---------------------------------------------------------------------------
+# Configuration-model baseline (verbatim pre-rewrite build path, sparse
+# sequences only — the benchmarked families never take the dense branch).
+# ---------------------------------------------------------------------------
+
+
+def _legacy_build_csr(n_src, n_dst, pairs):
+    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
+    srt = pairs[order]
+    counts = np.bincount(srt[:, 0], minlength=n_src)
+    indptr = np.zeros(n_src + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    return indptr, np.ascontiguousarray(srt[:, 1].astype(np.int64))
+
+
+def _legacy_from_edges(n_clients, n_servers, arr, name):
+    if arr.size:
+        if arr[:, 0].min() < 0 or arr[:, 0].max() >= n_clients:
+            raise GraphValidationError("client index out of range")
+        if arr[:, 1].min() < 0 or arr[:, 1].max() >= n_servers:
+            raise GraphValidationError("server index out of range")
+        keys = arr[:, 0].astype(np.int64) * np.int64(max(n_servers, 1)) + arr[:, 1]
+        if np.unique(keys).size != keys.size:
+            raise GraphValidationError("duplicate edges are not allowed (sampling bias)")
+    c_indptr, c_indices = _legacy_build_csr(n_clients, n_servers, arr)
+    s_indptr, s_indices = _legacy_build_csr(n_servers, n_clients, arr[:, ::-1])
+    return BipartiteGraph(
+        n_clients=n_clients,
+        n_servers=n_servers,
+        client_indptr=c_indptr,
+        client_indices=c_indices,
+        server_indptr=s_indptr,
+        server_indices=s_indices,
+        name=name,
+    )
+
+
+def _legacy_repair_duplicates(pairs, n_servers, rng):
+    m = pairs.shape[0]
+    for _ in range(generators._MAX_REPAIR_PASSES):
+        keys = pairs[:, 0].astype(np.int64) * np.int64(n_servers) + pairs[:, 1]
+        order = np.argsort(keys, kind="stable")
+        sk = keys[order]
+        dup_sorted = np.zeros(m, dtype=bool)
+        if m > 1:
+            dup_sorted[1:] = sk[1:] == sk[:-1]
+        dup_idx = order[dup_sorted]
+        if dup_idx.size == 0:
+            return True
+        partners = rng.integers(0, m, size=dup_idx.size)
+        for i, j in zip(dup_idx.tolist(), partners.tolist()):
+            if i == j:
+                continue
+            pairs[i, 1], pairs[j, 1] = pairs[j, 1], pairs[i, 1]
+    return False
+
+
+def _legacy_configuration_bipartite(client_degrees, server_degrees, rng, name):
+    client_degrees = np.asarray(client_degrees, dtype=np.int64)
+    server_degrees = np.asarray(server_degrees, dtype=np.int64)
+    n_clients, n_servers = client_degrees.size, server_degrees.size
+    if int(client_degrees.sum()) > (n_clients * n_servers) // 2:
+        raise GraphConstructionError("legacy baseline covers sparse sequences only")
+    client_stubs = np.repeat(np.arange(n_clients, dtype=np.int64), client_degrees)
+    server_stubs = np.repeat(np.arange(n_servers, dtype=np.int64), server_degrees)
+    for _ in range(generators._MAX_RESTARTS):
+        pairs = np.column_stack([client_stubs, rng.permutation(server_stubs)])
+        if _legacy_repair_duplicates(pairs, n_servers, rng):
+            return _legacy_from_edges(n_clients, n_servers, pairs, name)
+    raise GraphConstructionError("configuration model failed to produce a simple graph")
+
+
+def _legacy_build(fn):
+    """Run a configuration-model family through the pre-rewrite build path
+    (the family's own degree-sequence draws are unchanged)."""
+    with mock.patch.object(
+        generators, "_configuration_bipartite", _legacy_configuration_bipartite
+    ):
+        return fn()
+
+
+# ---------------------------------------------------------------------------
 # Generation throughput
 # ---------------------------------------------------------------------------
 
@@ -239,6 +338,85 @@ def measure_generation(
         "speedup_metric": "edges_per_sec ratio (vectorized at n, loop at n_legacy)",
         "records": records,
         "speedups": speedups,
+    }
+
+
+def _same_graph(a: BipartiteGraph, b: BipartiteGraph) -> bool:
+    return all(
+        getattr(a, f).dtype == getattr(b, f).dtype
+        and np.array_equal(getattr(a, f), getattr(b, f))
+        for f in ("client_indptr", "client_indices", "server_indptr", "server_indices")
+    )
+
+
+def measure_configuration(sizes, seed: int = 0, repeats: int = 2) -> dict:
+    """Configuration-model families: current build vs the pre-rewrite path.
+
+    At each ``n`` the degree is ``Δ = ⌈log₂² n⌉``: ``random_regular_bipartite(n,
+    Δ)``, ``near_regular(n, ⌈Δ/2⌉, Δ)``, and ``paper_extremal(n)`` at its
+    default ``η = 1`` (``Δ_min = ⌈ln² n⌉`` plus the heavy clients).  Both
+    paths must build byte-identical graphs; the current path is timed
+    best-of-``repeats``, the legacy path once.
+    """
+    records, speedups = [], {}
+    for n in sizes:
+        delta = math.ceil(math.log2(n) ** 2)
+        fams = [
+            ("random_regular_bipartite", lambda: random_regular_bipartite(n, delta, seed=seed)),
+            ("near_regular", lambda: near_regular(n, math.ceil(delta / 2), delta, seed=seed)),
+            ("paper_extremal", lambda: paper_extremal(n, seed=seed)),
+        ]
+        for family, build in fams:
+            t_new, g_new = _time_best(build, repeats)
+            t_old, g_old = _time_best(lambda: _legacy_build(build), 1)
+            if not _same_graph(g_new, g_old):
+                raise AssertionError(f"{family} n={n}: build paths disagree; timing meaningless")
+            del g_old
+            speedups[f"{family}@{n}"] = round(t_old / t_new, 2)
+            for backend, secs in (("current", t_new), ("pre_rewrite", t_old)):
+                records.append(
+                    {
+                        "family": family,
+                        "n": n,
+                        "delta": delta,
+                        "backend": backend,
+                        "seconds": round(secs, 3),
+                        "edges": int(g_new.n_edges),
+                        "edges_per_sec": round(g_new.n_edges / secs, 1),
+                    }
+                )
+    return {
+        "sizes": list(sizes),
+        "speedup_metric": "seconds ratio, pre_rewrite / current (same graphs, same host)",
+        "records": records,
+        "speedups": speedups,
+    }
+
+
+def host_metadata() -> dict:
+    """Where the numbers were measured: never compare two files blind."""
+    cpu = platform.processor() or platform.machine()
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            cpu = next(
+                (ln.split(":", 1)[1].strip() for ln in fh if ln.startswith("model name")), cpu
+            )
+    except OSError:
+        pass
+    root = Path(__file__).resolve().parent.parent
+
+    def git(*args):
+        out = subprocess.run(["git", *args], cwd=root, capture_output=True, text=True)
+        return out.stdout.strip() if out.returncode == 0 else None
+
+    sha = git("rev-parse", "HEAD")
+    return {
+        "visible_cores": available_cpus(),
+        "cpu_model": cpu,
+        "git_sha": sha,
+        "git_dirty": bool(git("status", "--porcelain", "--untracked-files=no")) if sha else None,
+        "numpy": np.__version__,
+        "python": platform.python_version(),
     }
 
 
@@ -365,9 +543,11 @@ def measure_sweep(
 def run_benchmark(quick: bool = False, cache_dir: Path | None = None) -> dict:
     if quick:
         gen = measure_generation(n=50_000, n_geom=20_000, repeats=1)
+        conf = measure_configuration(sizes=(2048,), repeats=1)
         sweep_kw = dict(n=20_000, k=32, cs=(2.0, 4.0, 8.0, 16.0), trials=8, processes=2)
     else:
         gen = measure_generation(n=1_000_000, n_geom=200_000)
+        conf = measure_configuration(sizes=(2048, 100_000))
         sweep_kw = dict(
             n=100_000,
             k=64,
@@ -385,7 +565,9 @@ def run_benchmark(quick: bool = False, cache_dir: Path | None = None) -> dict:
     return {
         "benchmark": "bench_graphgen",
         "quick": quick,
+        "host": host_metadata(),
         "generation": gen,
+        "configuration": conf,
         "sweep": sweep,
     }
 
@@ -399,6 +581,12 @@ def test_quick_generation_beats_loop():
     # BENCH_graphgen.json); at smoke scale just require a real win.
     for fam in ("trust_subsets", "community_bipartite", "erdos_renyi_bipartite"):
         assert gen["speedups"][fam] > 2.0, gen["speedups"]
+
+
+def test_quick_configuration_matches_legacy():
+    conf = measure_configuration(sizes=(1024,), repeats=1)
+    assert len(conf["records"]) == 6  # byte-identity is checked inside
+    assert conf["speedups"]["random_regular_bipartite@1024"] > 1.5, conf["speedups"]
 
 
 def test_quick_sweep_paths_agree(tmp_path):
@@ -432,6 +620,13 @@ def main(argv=None) -> int:
             f"{rec['seconds']:9.3f} {rec['edges_per_sec']:12.1f}"
         )
     print("generation speedups:", {k: round(v, 1) for k, v in gen["speedups"].items()})
+    conf = report["configuration"]
+    for rec in conf["records"]:
+        print(
+            f"{rec['family']:24s} {rec['n']:9d} {rec['backend']:16s} "
+            f"{rec['seconds']:9.3f} {rec['edges_per_sec']:12.1f}"
+        )
+    print("configuration-model speedups:", conf["speedups"])
     sw = report["sweep"]
     print(
         f"sweep n={sw['n']} ({sw['grid_points']} points x {sw['trials']} trials, "

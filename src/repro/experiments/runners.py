@@ -246,25 +246,6 @@ def _part_dir(root: "str | None", index: int) -> "str | None":
     return _os.path.join(str(root), f"part-{index:02d}")
 
 
-def _saer_sweep(
-    grid, *, trials, seed, processes, backend, graph=None, graph_cache=None,
-    results="columnar", kernel=None, kernel_threads=None,
-):
-    """Deprecated shim: build the :class:`RunPlan` and execute it.
-
-    Direct callers should migrate to ``execute(_saer_plan(...))`` — or
-    better, build their own :class:`repro.plan.RunPlan`; this wrapper
-    only survives so pre-plan call sites keep working.
-    """
-    return execute(
-        _saer_plan(
-            grid, trials=trials, seed=seed, processes=processes, backend=backend,
-            graph=graph, graph_cache=graph_cache, results=results, kernel=kernel,
-            kernel_threads=kernel_threads,
-        )
-    )
-
-
 def run_e01_completion(
     ns=(256, 512, 1024, 2048, 4096),
     c: float = 1.5,

@@ -27,21 +27,6 @@ from ..errors import GraphValidationError
 __all__ = ["BipartiteGraph"]
 
 
-def _build_csr(n_src: int, n_dst: int, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Build (indptr, indices) for src→dst adjacency from an edge array.
-
-    ``pairs`` is an ``(m, 2)`` int array of (src, dst).  Neighbor lists
-    come out sorted by dst index, which makes tape-replay order
-    deterministic and binary-searchable.
-    """
-    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-    srt = pairs[order]
-    counts = np.bincount(srt[:, 0], minlength=n_src)
-    indptr = np.zeros(n_src + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    return indptr, np.ascontiguousarray(srt[:, 1].astype(np.int64))
-
-
 def _rows_strictly_sorted(indptr: np.ndarray, indices: np.ndarray) -> bool:
     """True iff every CSR row is strictly increasing (sorted, no duplicates)."""
     if indices.size < 2:
@@ -62,18 +47,16 @@ def _transpose_csr(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Reverse a CSR adjacency: dst→src (indptr, indices), rows sorted.
 
-    Uses scipy's compiled COO→CSR counting sort (O(m), ~3× faster than a
-    numpy stable argsort at 10⁷ edges).  It is stable in input order, so
-    with forward rows sorted src-major the reversed rows come out
-    strictly sorted whenever the forward graph was simple.
+    Uses scipy's compiled CSR→CSC counting sort (O(m), several times
+    faster than a numpy stable argsort at 10⁷ edges).  It is stable in
+    input order, so the reversed rows come out sorted, and strictly so
+    whenever the forward graph was simple.
     """
-    nnz = indices.size
-    if nnz == 0:
+    if indices.size == 0:
         return np.zeros(n_dst + 1, dtype=np.int64), np.empty(0, dtype=np.int64)
-    rows = np.repeat(np.arange(n_src, dtype=np.int64), np.diff(indptr))
-    rev = sp.coo_matrix(
-        (np.empty(nnz, dtype=np.int8), (indices, rows)), shape=(n_dst, n_src)
-    ).tocsr()
+    rev = sp.csr_matrix(
+        (np.empty(indices.size, dtype=np.int8), indices, indptr), shape=(n_src, n_dst)
+    ).tocsc()
     return rev.indptr.astype(np.int64), rev.indices.astype(np.int64)
 
 
@@ -116,7 +99,10 @@ class BipartiteGraph:
         """Build a graph from (client, server) pairs.
 
         Raises :class:`GraphValidationError` on out-of-range endpoints or
-        duplicate edges.
+        duplicate edges.  One lexsort by (client, server) yields the
+        client→server CSR directly, duplicates show up as equal adjacent
+        rows, and :meth:`from_csr` derives the reverse side.  With
+        ``validate=False`` the edge list must already be simple.
         """
         if n_clients < 0 or n_servers < 0:
             raise GraphValidationError("side sizes must be non-negative")
@@ -130,19 +116,17 @@ class BipartiteGraph:
                 raise GraphValidationError("client index out of range")
             if arr[:, 1].min() < 0 or arr[:, 1].max() >= n_servers:
                 raise GraphValidationError("server index out of range")
-            keys = arr[:, 0].astype(np.int64) * np.int64(max(n_servers, 1)) + arr[:, 1]
-            if np.unique(keys).size != keys.size:
+        order = np.lexsort((arr[:, 1], arr[:, 0]))
+        clients = arr[order, 0]
+        servers = arr[order, 1]
+        if validate and order.size > 1:
+            same = (clients[1:] == clients[:-1]) & (servers[1:] == servers[:-1])
+            if same.any():
                 raise GraphValidationError("duplicate edges are not allowed (sampling bias)")
-        c_indptr, c_indices = _build_csr(n_clients, n_servers, arr)
-        s_indptr, s_indices = _build_csr(n_servers, n_clients, arr[:, ::-1])
-        return BipartiteGraph(
-            n_clients=n_clients,
-            n_servers=n_servers,
-            client_indptr=c_indptr,
-            client_indices=c_indices,
-            server_indptr=s_indptr,
-            server_indices=s_indices,
-            name=name,
+        indptr = np.zeros(n_clients + 1, dtype=np.int64)
+        np.cumsum(np.bincount(clients, minlength=n_clients), out=indptr[1:])
+        return BipartiteGraph.from_csr(
+            n_clients, n_servers, indptr, servers, name=name, validate=False
         )
 
     @staticmethod
@@ -160,8 +144,8 @@ class BipartiteGraph:
         The fast path for vectorized generators: rows must already be
         strictly sorted (sorted neighbor ids, no parallel edges), so no
         edge-list round-trip and no re-sort of the forward direction is
-        needed — only the reverse adjacency is derived (one stable
-        argsort).  With ``validate=True`` the CSR invariants are checked
+        needed — only the reverse adjacency is derived (scipy's compiled
+        counting sort).  With ``validate=True`` the CSR invariants are checked
         with whole-array operations (still no Python loop).
         """
         indptr = np.ascontiguousarray(client_indptr, dtype=np.int64)

@@ -21,6 +21,7 @@ Families provided (and where the paper needs them):
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -206,32 +207,97 @@ def _sample_distinct_rows_mixed(
     return out
 
 
-def _repair_duplicates(pairs: np.ndarray, n_servers: int, rng: np.random.Generator) -> bool:
-    """Make a configuration-model edge list simple via endpoint swaps.
+def _sorted_unique(a: np.ndarray) -> np.ndarray:
+    """``np.unique`` of a non-empty int array by sort + adjacent compare
+    (several times faster than numpy's hash-based unique at 10⁴ values)."""
+    a = np.sort(a)
+    return a[np.concatenate(([True], a[1:] != a[:-1]))]
 
-    Swapping the server endpoints of two edges preserves every degree on
-    both sides, so the repaired graph keeps the prescribed degree
-    sequence exactly.  Returns True on success, False if the random walk
-    failed to clear all duplicates within the pass budget (caller then
-    restarts from a fresh pairing).
+
+def _repair_walk(
+    indptr: np.ndarray,
+    srv: np.ndarray,
+    n_servers: int,
+    shift: int,
+    rng: np.random.Generator,
+) -> np.ndarray | None:
+    """Make a configuration-model pairing simple via endpoint swaps.
+
+    Entry ``i`` of client ``c`` (``indptr[c] <= i < indptr[c+1]``) is the
+    edge ``(c, srv[i])``; ``srv`` is swapped in place.  Swapping the
+    server endpoints of two edges preserves every degree on both sides,
+    so the repaired graph keeps the prescribed degree sequence exactly.
+    Each pass takes the duplicate entries — all but the lowest-indexed
+    entry of each run of equal ``client*n_servers + server`` keys, in key
+    order — and swaps each, in turn, with a uniform random partner.
+
+    Entries are kept sorted by (key, index) as one packed array, ``key
+    << shift | offset of the entry in its client's block`` (equal keys
+    share a client, so the offset orders them by index): one sort up
+    front, then each pass takes out only the entries its swaps touched,
+    sorts them and merges them back in place.  Merged-in entries are the
+    only ones that can form a new duplicate, so only their neighbours
+    are re-checked.  Returns the final strictly increasing keys — the
+    client-major CSR in key form — or ``None`` if duplicates remain
+    after ``_MAX_REPAIR_PASSES`` passes (the caller then restarts from a
+    fresh pairing).
     """
-    m = pairs.shape[0]
+    m = srv.size
+    ns = np.int64(n_servers)
+    low = np.int64((1 << shift) - 1)
+
+    def client(i: np.ndarray) -> np.ndarray:
+        # Sorting never moves an entry out of its client's block, so
+        # this maps an entry index or a sorted position to its client.
+        return np.searchsorted(indptr, i, side="right") - 1
+
+    def pack(idx: np.ndarray) -> np.ndarray:
+        c = client(idx)
+        return ((c * ns + srv[idx]) << shift) | (idx - indptr[c])
+
+    # pack(arange(m)), whole-array: client c's packed base is
+    # (c*ns << shift) - indptr[c], then add (server << shift) + index.
+    degrees = np.diff(indptr)
+    base = (np.arange(degrees.size, dtype=np.int64) * ns << shift) - indptr[:-1]
+    packed = np.repeat(base, degrees)
+    packed += srv << shift
+    packed += np.arange(m, dtype=np.int64)
+    packed.sort()
+    keep = np.empty(m, dtype=bool)
+    slot = np.empty(m, dtype=bool)
+    # Equal keys <=> the packed values differ only in the offset bits.
+    np.less_equal(packed[1:] ^ packed[:-1], low, out=slot[1:])
+    dup = np.flatnonzero(slot[1:]) + 1
     for _ in range(_MAX_REPAIR_PASSES):
-        keys = pairs[:, 0].astype(np.int64) * np.int64(n_servers) + pairs[:, 1]
-        order = np.argsort(keys, kind="stable")
-        sk = keys[order]
-        dup_sorted = np.zeros(m, dtype=bool)
-        if m > 1:
-            dup_sorted[1:] = sk[1:] == sk[:-1]
-        dup_idx = order[dup_sorted]
-        if dup_idx.size == 0:
-            return True
-        partners = rng.integers(0, m, size=dup_idx.size)
-        for i, j in zip(dup_idx.tolist(), partners.tolist()):
-            if i == j:
-                continue
-            pairs[i, 1], pairs[j, 1] = pairs[j, 1], pairs[i, 1]
-    return False
+        if dup.size == 0:
+            packed >>= shift
+            return packed
+        dup_idx = indptr[client(dup)] + (packed[dup] & low)
+        partners = rng.integers(0, m, size=dup.size)
+        partner_pos = np.searchsorted(packed, np.sort(pack(partners)))
+        touched = _sorted_unique(np.concatenate([dup_idx, partners]))
+        servers = srv[touched].tolist()
+        for a, b in zip(
+            np.searchsorted(touched, dup_idx).tolist(),
+            np.searchsorted(touched, partners).tolist(),
+        ):
+            servers[a], servers[b] = servers[b], servers[a]
+        srv[touched] = servers
+        removed = _sorted_unique(np.concatenate([dup, partner_pos]))
+        keep.fill(True)
+        keep[removed] = False
+        merged = np.sort(pack(touched))
+        # Merged position = kept entries below it + its rank.
+        lo = np.searchsorted(packed, merged)
+        pos = lo - np.searchsorted(removed, lo) + np.arange(merged.size)
+        slot.fill(True)
+        slot[pos] = False
+        packed[slot] = packed[keep]
+        packed[pos] = merged
+        near = _sorted_unique(np.concatenate([pos, pos + 1]))
+        near = near[(near > 0) & (near < m)]
+        dup = near[(packed[near] ^ packed[near - 1]) <= low]
+    return None
 
 
 def _configuration_bipartite(
@@ -244,7 +310,9 @@ def _configuration_bipartite(
 
     Pairs client stubs with a random permutation of server stubs, then
     repairs parallel edges by degree-preserving swaps.  Restarts with a
-    fresh permutation if the repair walk stalls.
+    fresh permutation if the repair walk stalls.  The walk's sorted keys
+    are the client→server CSR, so the graph is built without another
+    pass over the edges.
     """
     client_degrees = np.asarray(client_degrees, dtype=np.int64)
     server_degrees = np.asarray(server_degrees, dtype=np.int64)
@@ -276,27 +344,33 @@ def _configuration_bipartite(
         mask = np.ones((n_clients, n_servers), dtype=bool)
         e = comp.edges()
         mask[e[:, 0], e[:, 1]] = False
-        rows, cols = np.nonzero(mask)
-        return BipartiteGraph.from_edges(
-            n_clients, n_servers, np.column_stack([rows, cols]), name=name, validate=False
+        indptr = np.zeros(n_clients + 1, dtype=np.int64)
+        np.cumsum(mask.sum(axis=1), out=indptr[1:])
+        _rows, cols = np.nonzero(mask)  # row-major: rows sorted, no duplicates
+        return BipartiteGraph.from_csr(
+            n_clients, n_servers, indptr, cols, name=name, validate=False
         )
     if total == n_clients * n_servers:
-        g = complete_bipartite(n_clients, n_servers)
-        return BipartiteGraph(
-            n_clients=g.n_clients,
-            n_servers=g.n_servers,
-            client_indptr=g.client_indptr,
-            client_indices=g.client_indices,
-            server_indptr=g.server_indptr,
-            server_indices=g.server_indices,
-            name=name,
+        return dataclasses.replace(complete_bipartite(n_clients, n_servers), name=name)
+    # Bits for an entry's offset within its client's block (see _repair_walk).
+    shift = int(client_degrees.max() - 1).bit_length()
+    if (n_clients * n_servers) << shift >= 1 << 63:
+        raise GraphConstructionError(
+            f"configuration model too large for 64-bit keys ({n_clients}×{n_servers})"
         )
-    client_stubs = np.repeat(np.arange(n_clients, dtype=np.int64), client_degrees)
-    server_stubs = np.repeat(np.arange(n_servers, dtype=np.int64), server_degrees)
+    indptr = np.zeros(n_clients + 1, dtype=np.int64)
+    np.cumsum(client_degrees, out=indptr[1:])
     for _ in range(_MAX_RESTARTS):
-        pairs = np.column_stack([client_stubs, rng.permutation(server_stubs)])
-        if _repair_duplicates(pairs, n_servers, rng):
-            return BipartiteGraph.from_edges(n_clients, n_servers, pairs, name=name)
+        # Shuffling fresh server stubs in place draws exactly what
+        # rng.permutation(stubs) would, without keeping a second copy.
+        srv = np.repeat(np.arange(n_servers, dtype=np.int64), server_degrees)
+        rng.shuffle(srv)
+        keys = _repair_walk(indptr, srv, n_servers, shift, rng)
+        if keys is not None:
+            np.remainder(keys, n_servers, out=keys)
+            return BipartiteGraph.from_csr(
+                n_clients, n_servers, indptr, keys, name=name, validate=True
+            )
     raise GraphConstructionError(
         "configuration model failed to produce a simple graph "
         f"(n_clients={n_clients}, n_servers={n_servers}); degrees too close to complete?"
@@ -674,9 +748,9 @@ def complete_bipartite(n_clients: int, n_servers: int) -> BipartiteGraph:
     """
     if n_clients <= 0 or n_servers <= 0:
         raise GraphConstructionError("side sizes must be positive")
-    rows = np.repeat(np.arange(n_clients, dtype=np.int64), n_servers)
-    cols = np.tile(np.arange(n_servers, dtype=np.int64), n_clients)
-    pairs = np.column_stack([rows, cols])
-    return BipartiteGraph.from_edges(
-        n_clients, n_servers, pairs, name=f"complete(nc={n_clients},ns={n_servers})", validate=False
+    indptr = np.arange(n_clients + 1, dtype=np.int64) * np.int64(n_servers)
+    indices = np.tile(np.arange(n_servers, dtype=np.int64), n_clients)
+    return BipartiteGraph.from_csr(
+        n_clients, n_servers, indptr, indices,
+        name=f"complete(nc={n_clients},ns={n_servers})", validate=False,
     )

@@ -55,6 +55,18 @@ class TestConstruction:
         with pytest.raises(GraphValidationError):
             BipartiteGraph.from_edges(2, 2, [(0, 1), (0, 1)])
 
+    @pytest.mark.parametrize(
+        "edges,message",
+        [
+            ([(1, 0), (0, 1), (1, 0)], "duplicate edges"),  # apart in the input
+            ([(0, 1), (0, 1), (2, 0)], "client index out of range"),
+            ([(0, 1), (0, 1), (0, 9)], "server index out of range"),
+        ],
+    )
+    def test_errors_raised_in_check_order(self, edges, message):
+        with pytest.raises(GraphValidationError, match=message):
+            BipartiteGraph.from_edges(2, 2, edges)
+
     def test_bad_shape_rejected(self):
         with pytest.raises(GraphValidationError):
             BipartiteGraph.from_edges(2, 2, np.array([[0, 1, 2]]))

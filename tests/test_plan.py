@@ -212,9 +212,9 @@ class TestPlanRoundTrip:
 class TestExecuteParityMatrix:
     """execute(plan) must be bit-identical to the pre-refactor engine.
 
-    Goldens were captured from the pre-plan `_saer_sweep` dispatcher
-    (PR 3 state) with pinned seeds; every (backend × graph × results)
-    cell must reproduce them exactly.
+    Goldens were captured from the sweep dispatcher that predates
+    `execute(plan)`, with pinned seeds; every (backend × graph ×
+    results) cell must reproduce them exactly.
     """
 
     SEED, TRIALS = 13, 2
