@@ -56,7 +56,7 @@ def _run_point(out: str, *, workers: int, n: int, rounds: int, rate: float) -> i
     return loadgen_main(argv)
 
 
-def run_sweep(n: int, rounds: int, rate: float, tmp_dir: Path) -> list[dict]:
+def run_fleet_points(n: int, rounds: int, rate: float, tmp_dir: Path) -> list[dict]:
     """One report per worker point; raises if any gate fails."""
     points = []
     for workers in WORKER_POINTS:
@@ -152,7 +152,7 @@ def main(argv=None) -> int:
     tmp_dir = out_path.parent / ".bench_fleet_tmp"
     tmp_dir.mkdir(parents=True, exist_ok=True)
     try:
-        points = run_sweep(n, rounds, rate, tmp_dir)
+        points = run_fleet_points(n, rounds, rate, tmp_dir)
     finally:
         for leftover in tmp_dir.glob("fleet_w*.json"):
             leftover.unlink()

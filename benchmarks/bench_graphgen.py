@@ -62,8 +62,9 @@ from repro.graphs import generators
 from repro.graphs.bipartite import BipartiteGraph
 from repro.graphs.generators import _sample_distinct
 from repro.graphs.io import cached_graph
-from repro.parallel import ParameterGrid, run_sweep
+from repro.parallel import ParameterGrid
 from repro.parallel.pool import available_cpus
+from repro.plan import BackendSpec, ExecSpec, GraphSpec, RunPlan, SeedSpec, WorkSpec, execute
 from repro.rng import make_rng
 
 
@@ -425,19 +426,23 @@ def host_metadata() -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _sim_block(graph, point, seed_seqs, trials) -> list:
+def _sim_block(graph, point, p_seeds) -> list:
     """The measured workload: one grid point's trial block, batched."""
-    pairs = [ss.spawn(2) for ss in seed_seqs]
     res = run_trials_batched(
-        graph,
-        ProtocolParams(c=point["c"], d=point["d"]),
-        "saer",
-        seeds=[p_seed for _g, p_seed in pairs],
+        graph, ProtocolParams(c=point["c"], d=point["d"]), "saer", seeds=p_seeds
     )
     return [
         {"completed": bool(res.completed[i]), "rounds": int(res.rounds[i])}
-        for i in range(len(seed_seqs))
+        for i in range(len(p_seeds))
     ]
+
+
+def _sim_record(graph, point, p_seed) -> dict:
+    return _sim_block(graph, point, [p_seed])[0]
+
+
+def _no_graph(point, g_seed, cache_dir):
+    return None
 
 
 class _ShipPoint:
@@ -446,13 +451,8 @@ class _ShipPoint:
     def __init__(self, graph):
         self.graph = graph
 
-    def __call__(self, point, seed_seqs, trials):
-        return _sim_block(self.graph, point, seed_seqs, trials)
-
-
-def _shared_point(graph, point, seed_seqs, trials):
-    """Zero-copy worker: the graph comes from the installed task context."""
-    return _sim_block(graph, point, seed_seqs, trials)
+    def __call__(self, _graph, point, p_seeds):
+        return _sim_block(self.graph, point, p_seeds)
 
 
 def measure_sweep(
@@ -466,13 +466,20 @@ def measure_sweep(
 ) -> dict:
     """End-to-end sweep wall-clock: ship-per-task vs SharedGraph + cache.
 
-    The shipped baseline is what ``run_sweep`` did before the graph
-    context existed: topology built in the parent, pickled into each of
-    the ``len(cs)`` batched tasks.  The fast path loads the topology
+    The shipped baseline is what a sweep did before the graph context
+    existed: topology built in the parent, pickled into each of the
+    ``len(cs)`` batched tasks.  The fast path loads the topology
     from the on-disk cache (construction was paid on a previous run)
     and installs it once per worker, zero-copy.
     """
-    grid = ParameterGrid(c=list(cs), d=[2])
+    plan = RunPlan(
+        grid=ParameterGrid(c=list(cs), d=[2]),
+        work=WorkSpec(record=_sim_record, batch=_sim_block),
+        trials=trials,
+        seeds=SeedSpec(root=seed),
+        backend=BackendSpec(name="batched"),
+        execution=ExecSpec(processes=processes),
+    )
     params = {"n_clients": n, "n_servers": n, "k": k}
 
     # Baseline: fresh build + per-task shipping.
@@ -480,14 +487,10 @@ def measure_sweep(
     graph = trust_subsets(**params, seed=seed)
     t_build = time.perf_counter() - t0
     t0 = time.perf_counter()
-    ship_recs = run_sweep(
-        _ShipPoint(graph),
-        grid,
-        n_trials=trials,
-        seed=seed,
-        processes=processes,
-        backend="batched",
-    )
+    ship_recs = execute(plan.override(
+        work=WorkSpec(record=_sim_record, batch=_ShipPoint(graph)),
+        graph=GraphSpec(builder=_no_graph),
+    ))
     t_ship_sweep = time.perf_counter() - t0
 
     # Warm the cache (cold store timed separately, not part of either side).
@@ -500,15 +503,7 @@ def measure_sweep(
     graph2 = cached_graph(trust_subsets, "trust", params, seed, cache_dir)
     t_cache_load = time.perf_counter() - t0
     t0 = time.perf_counter()
-    shared_recs = run_sweep(
-        _shared_point,
-        grid,
-        n_trials=trials,
-        seed=seed,
-        processes=processes,
-        backend="batched",
-        graph=graph2,
-    )
+    shared_recs = execute(plan.override(graph=GraphSpec(mode="pinned", graph=graph2)))
     t_shared_sweep = time.perf_counter() - t0
 
     assert ship_recs == shared_recs, "ship vs shared records diverged; timing meaningless"

@@ -6,20 +6,14 @@ The 60-second tour of the public API:
 1. generate a Δ-regular bipartite graph (Δ = log² n, the regime of
    Theorem 1),
 2. run ``saer(c, d)`` and inspect the result,
-3. re-run the *same* randomness through the agent-level simulator to
-   see that the vectorized engine is an exact implementation of the
-   message-passing model,
-4. run the coupled SAER/RAES execution of Corollary 2.
+3. run the coupled SAER/RAES execution of Corollary 2.
 
 Run:  python examples/quickstart.py
 """
 
 import math
 
-import numpy as np
-
 import repro
-from repro.agents import run_agent_saer
 from repro.theory import completion_horizon
 
 
@@ -42,16 +36,6 @@ def main() -> None:
     print(f"  max server load:  {res.max_load}   (guaranteed <= floor(c*d) = {res.params.capacity})")
     print(f"  burned servers:   {res.blocked_servers} / {n}")
     print(f"  max_t S_t:        {res.trace.max_s_t():.3f}   (Lemma 4 bound: 0.5)\n")
-
-    print("Replaying the identical randomness through the agent-level model M ...")
-    tape = repro.RandomTape(seed=3)
-    fast = repro.run_saer(graph, c=c, d=d, tape=tape)
-    tape.rewind()
-    slow = run_agent_saer(graph, c, d, tape=tape)
-    assert fast.rounds == slow.rounds and fast.work == slow.work
-    assert np.array_equal(fast.loads, slow.loads)
-    print(f"  engine == agents: rounds {fast.rounds} == {slow.rounds}, "
-          f"work {fast.work} == {slow.work}, loads identical\n")
 
     print("Coupled SAER/RAES run (Corollary 2, pathwise dominance) ...")
     cp = repro.run_coupled(graph, c=c, d=d, seed=4)

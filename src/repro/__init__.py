@@ -19,7 +19,6 @@ Quickstart::
 """
 
 from . import (
-    agents,
     analysis,
     baselines,
     batch,
@@ -77,7 +76,6 @@ __all__ = [
     "graphs",
     "core",
     "batch",
-    "agents",
     "baselines",
     "theory",
     "parallel",

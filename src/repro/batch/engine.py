@@ -62,7 +62,6 @@ Not supported (use the reference engine): per-round traces,
 
 from __future__ import annotations
 
-import os
 import threading
 import weakref
 from typing import Callable, Sequence, Union
@@ -75,8 +74,6 @@ from ..errors import NonTerminationError, ProtocolConfigError
 from ..graphs.bipartite import BipartiteGraph
 from ..rng import make_rng, philox_trial_words, spawn_seeds
 from .kernels import (
-    DEFAULT_KERNEL,
-    KERNELS_ENV,
     RNG_BLOCK,
     EngineBuffers,
     Kernel,
@@ -212,8 +209,7 @@ def run_trials_batched(
         count, and chunking by construction (each draw is a pure
         function of ``(trial words, round, slot)``).  ``None`` reads
         ``REPRO_SEED_MODE``; default ``pair``.  Philox mode requires
-        seed-likes (not pre-built Generators) in ``seeds`` and is the
-        only mode the ``"cupy"`` kernel accepts.
+        seed-likes (not pre-built Generators) in ``seeds``.
     buffers:
         Optional :class:`~repro.batch.kernels.EngineBuffers` scratch
         pool, reused across calls (persistent sweep workers pass their
@@ -270,15 +266,6 @@ def run_trials_batched(
         policy = faulty_policy_factory(policy.lower(), faults, n_c)
     pol = _make_batch_policy(policy, R, n_s, params.capacity)
     smode = resolve_seed_mode(seed_mode)
-    requested_kernel = (
-        (kernel or os.environ.get(KERNELS_ENV) or DEFAULT_KERNEL).strip().lower()
-    )
-    if requested_kernel == "cupy" and smode != "philox":
-        raise ProtocolConfigError(
-            'kernel="cupy" requires seed_mode="philox": the device round '
-            "is reproducible only under the counter-based lineage (PCG64 "
-            "carries per-trial generator state the GPU path cannot stream)"
-        )
     if smode == "philox":
         try:
             words = philox_trial_words(seed_list)
@@ -294,15 +281,7 @@ def run_trials_batched(
 
     n_threads = resolve_threads(threads)
     kern = resolve_kernel(kernel, threads=n_threads)
-    if kern.name == "cupy" and _compiled_supported(kern, graph, pol, dem, n_c, n_s):
-        from .device import run_rounds_device
-
-        pol.astype_state(state_dtype, state_dtype)
-        rounds, work, assigned, alive_total = run_rounds_device(
-            kern.module(), graph, pol, dem, total_balls, n_c, n_s, cap, R,
-            params.capacity, words, state_dtype,
-        )
-    elif kern.compiled and _compiled_supported(kern, graph, pol, dem, n_c, n_s):
+    if kern.compiled and _compiled_supported(kern, graph, pol, dem, n_c, n_s):
         pol.astype_state(state_dtype, state_dtype)
         rounds, work, assigned, alive_total = _run_rounds_compiled(
             kern, graph, pol, dem, total_balls, n_c, n_s, cap, R,

@@ -25,10 +25,6 @@ run it three ways:
     :func:`_round_loops` executed by the interpreter — far too slow
     for real workloads, but it lets the parity suite exercise the
     exact compiled algorithm on any install (no numba, no compiler).
-``cupy``
-    The GPU twin of the fused philox round (:mod:`repro.batch.device`),
-    valid only with the counter-based ``philox`` seed lineage; without
-    an importable cupy and a device it falls back like any other gate.
 
 Every implementation is **bit-identical** to the numpy path: same
 uniforms consumed in the same canonical (trial-major, client-major)
@@ -860,45 +856,6 @@ class CextKernel(Kernel):
         return call
 
 
-class CupyKernel(Kernel):
-    """GPU twin of the fused philox round, gated on an importable cupy.
-
-    Only meaningful with the philox seed lineage — counter-based draws
-    are what make a device-resident round reproducible without
-    streaming per-trial PCG64 state through the GPU; the engine rejects
-    ``kernel="cupy"`` under the PCG64 modes outright.  The round itself
-    lives in :mod:`repro.batch.device` as an xp-agnostic twin that runs
-    on numpy or cupy arrays identically, so CI parity-pins the GPU
-    semantics against the CPU gates without a GPU.  ``available()``
-    requires cupy to import *and* see a device; anything else takes the
-    standard warn-once fallback to numpy in :func:`resolve_kernel`.
-    """
-
-    name = "cupy"
-    compiled = False
-
-    def __init__(self) -> None:
-        self._cupy = None
-        self._checked = False
-
-    def module(self):
-        """The cupy module (probed once), or ``None``.  Tests inject a
-        fake by setting ``_cupy``/``_checked`` directly."""
-        if not self._checked:
-            self._checked = True
-            try:
-                import cupy
-
-                cupy.cuda.runtime.getDeviceCount()
-                self._cupy = cupy
-            except Exception:
-                self._cupy = None
-        return self._cupy
-
-    def available(self) -> bool:
-        return self.module() is not None
-
-
 def _cc_candidates() -> list[str]:
     env = os.environ.get("CC")
     return [env] if env else ["cc", "gcc", "clang"]
@@ -1085,7 +1042,6 @@ _REGISTRY: dict[str, Kernel] = {
     "python": PythonKernel(),
     "numba": NumbaKernel(),
     "cext": CextKernel(),
-    "cupy": CupyKernel(),
 }
 
 # Warn-once state for fallback warnings, keyed per (gate, threads):

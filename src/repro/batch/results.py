@@ -211,6 +211,10 @@ class ResultBlock:
             )
         keys: list[str] = []
         for r in records:
+            if not isinstance(r, Mapping):
+                raise ValueError(
+                    f"trial records must be dict-like; got {type(r).__name__}"
+                )
             for k in r:
                 if k not in keys:
                     keys.append(k)

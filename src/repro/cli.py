@@ -284,13 +284,12 @@ def main(argv=None) -> int:
     )
     p_run.add_argument(
         "--kernel",
-        choices=("numpy", "cext", "numba", "python", "cupy"),
+        choices=("numpy", "cext", "numba", "python"),
         default=None,
         help="round-kernel implementation for the batched engine: numpy "
         "reference (default), fused C (cext), numba JIT, the "
         "interpreted compiled-algorithm loops (python; debugging "
-        "only), or the GPU device twin (cupy; needs CuPy and "
-        "--seed-mode philox).  Maps onto the plan's BackendSpec.kernel "
+        "only).  Maps onto the plan's BackendSpec.kernel "
         "for kernel-capable experiments (travels inside the pickled "
         "worker) and sets REPRO_KERNELS for everything else.  All "
         "are bit-identical; unavailable ones fall back to numpy "
@@ -306,7 +305,7 @@ def main(argv=None) -> int:
         "entry, 'philox' derives counter-based Philox4x32 streams "
         "(batched engine only; its own golden lineage — distinct bits "
         "from pair/direct — enabling vectorized, chunking-invariant "
-        "fills and the GPU twin).  Maps onto the plan's SeedSpec.mode "
+        "fills).  Maps onto the plan's SeedSpec.mode "
         "for sweep experiments and sets REPRO_SEED_MODE for "
         "everything else.",
     )

@@ -14,10 +14,9 @@ Vectorization strategy (per the HPC guide: no per-ball Python loops):
 * per-ball accept bit: a single gather ``accept_mask[dest]``.
 
 Randomness is a :class:`~repro.rng.RandomTape` consumed in the canonical
-order (round-major, client index, ball slot), so the agent simulator in
-:mod:`repro.agents` can replay identical executions — that equivalence
-is tested, which is what lets this fast path *be* the reference
-implementation of model M.
+order (round-major, client index, ball slot), so any execution can be
+replayed from its tape; this engine is the reference implementation of
+model M that the batched engine is checked against trial for trial.
 
 Two draw modes:
 

@@ -117,7 +117,7 @@ def _rowsort_resample(rng: np.random.Generator, n: int, m: np.ndarray) -> None:
         if rr.size == 0:
             return
         m[rr, cc + 1] = rng.integers(0, n, size=rr.size, dtype=m.dtype)
-        bad = np.unique(rr)
+        bad = _sorted_unique(rr)
         sub = m[bad]
         sub.sort(axis=1)
         m[bad] = sub

@@ -13,30 +13,28 @@ composable axes — the **two-level parallelism model**:
    engine of :mod:`repro.batch` as single 2-D numpy operations instead
    of a per-trial python loop.
 
-:func:`monte_carlo` splits trials into per-worker blocks;
-:func:`run_sweep` assigns one block per grid point (processes across
-grid points, vectorized trials within each).  Per-trial seeds are
-spawned identically under both backends, so the backend choice never
-changes which seed a trial sees.
+:func:`repro.plan.execute` turns a plan into tasks for both levels: a
+batched plan sends one block per grid point (processes across grid
+points, vectorized trials within each), a reference plan one task per
+trial.  Per-trial seeds are spawned identically under both backends,
+so the backend choice never changes which seed a trial sees.
 
-A third lever removes the *topology* from the task payload: with
-``graph=`` both entry points install the CSR arrays once per worker —
+A third lever removes the *topology* from the task payload: a pinned
+graph (``GraphSpec(mode="pinned")``) is installed once per worker —
 fork page inheritance or a :class:`~repro.parallel.shared.SharedGraph`
-shared-memory mapping — instead of pickling the graph into every task
-(see :mod:`repro.parallel.shared`).
+shared-memory mapping — instead of being pickled into every task (see
+:mod:`repro.parallel.shared`).
 """
 
 from .aggregate import ResultTable, aggregate_records, as_table, assemble_blocks, summarize
-from .pool import WorkerState, available_cpus, map_parallel, monte_carlo, worker_state
+from .pool import WorkerState, available_cpus, map_parallel, worker_state
 from .shared import SharedGraph, current_task_graph, graph_context
-from .sweep import ParameterGrid, run_sweep
+from .sweep import ParameterGrid
 
 __all__ = [
     "available_cpus",
     "map_parallel",
-    "monte_carlo",
     "ParameterGrid",
-    "run_sweep",
     "summarize",
     "aggregate_records",
     "as_table",

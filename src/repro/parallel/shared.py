@@ -19,10 +19,9 @@ This module moves the graph out of the task payload:
   workers inherit the pages copy-on-write.  :func:`graph_context` picks
   the right mechanism automatically.
 
-The worker-side entry is :func:`current_task_graph`, used by the
-graph-aware adapters in :mod:`repro.parallel.pool` and
-:mod:`repro.parallel.sweep` (``monte_carlo(..., graph=...)`` /
-``run_sweep(..., graph=...)``).
+The worker-side entry is :func:`current_task_graph`, used by the task
+runners in :mod:`repro.parallel.sweep` when :func:`repro.plan.execute`
+runs a plan on a pinned graph (``GraphSpec(mode="pinned")``).
 """
 
 from __future__ import annotations
@@ -217,7 +216,7 @@ def current_task_graph() -> BipartiteGraph:
     if _TASK_GRAPH is None:
         raise RuntimeError(
             "no task graph installed in this process; run the task through "
-            "monte_carlo/run_sweep with graph=... (or call graph_context)"
+            "execute(plan) with GraphSpec(mode='pinned') (or call graph_context)"
         )
     return _TASK_GRAPH
 

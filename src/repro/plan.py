@@ -14,9 +14,10 @@ under four orthogonal execution axes that grew one PR at a time:
   (:class:`~repro.parallel.shared.SharedGraph` / fork inheritance);
 * **dispatch** — serial in-process, a process pool, with persistent
   per-worker state (:func:`repro.parallel.pool.worker_state`);
-* **results** — legacy per-trial record dicts vs the columnar
-  :class:`~repro.batch.results.ResultBlock` spool assembled into a
-  :class:`~repro.parallel.aggregate.ResultTable`.
+* **results** — every task returns a typed
+  :class:`~repro.batch.results.ResultBlock`, assembled in memory or
+  spooled to disk, and read back as a
+  :class:`~repro.parallel.aggregate.ResultTable` or as record dicts.
 
 Before this module each axis was plumbed through ad-hoc kwargs at every
 layer (runner signatures, near-duplicate worker adapters, CLI signature
@@ -39,9 +40,13 @@ callables:
 :func:`execute` wraps them in the **two** canonical picklable workers
 (:class:`PerTrialWorker`, :class:`BatchWorker`) — these replace the
 per-experiment adapter variants that previously lived in
-``experiments/runners.py`` — and dispatches through
-:func:`repro.parallel.sweep.run_sweep`, which owns seed spawning, the
-pool, zero-copy graph installation, and columnar assembly.
+``experiments/runners.py`` — and runs every plan through one pipeline:
+spawn the seeds, cut ``(point, seed slice, trial indices)`` tasks, turn
+each into a :class:`~repro.batch.results.ResultBlock` on the pool
+(:func:`repro.parallel.pool.map_parallel`, under
+:func:`~repro.parallel.shared.graph_context` for a pinned graph), and
+hand the blocks to a sink — assembled in memory, or spooled to disk
+with a journal.
 
 Seed discipline
 ---------------
@@ -58,9 +63,8 @@ Philox lineage (:func:`repro.rng.philox_trial_words`): each trial's
 protocol stream becomes a pure function of its spawned words and the
 (round, slot) counter — its own golden lineage, deliberately NOT
 bit-compatible with the PCG64 modes — which unlocks the fused
-generate-at-consumption kernels and the ``cupy`` device gate.  It
-requires the batched backend (``work.batch`` must accept
-``seed_mode=``).
+generate-at-consumption kernels.  It requires the batched backend
+(``work.batch`` must accept ``seed_mode=``).
 """
 
 from __future__ import annotations
@@ -68,13 +72,20 @@ from __future__ import annotations
 import inspect
 import os
 import warnings
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
-from .errors import PlanError
+from .durable import spool
+from .durable.journal import JOURNAL_NAME, JournalWriter, plan_fingerprint, seed_token
+from .durable.supervisor import RetryPolicy, TaskFailure
+from .errors import PlanError, ResumeMismatchError
 from .graphs.families import build_point_graph
-from .parallel.sweep import ParameterGrid, run_sweep
+from .parallel import pool, sweep
+from .parallel.shared import graph_context
+from .parallel.sweep import ParameterGrid, _BatchPointRunner, _TrialBlockRunner
+from .rng import spawn_seeds
 
 __all__ = [
     "BackendSpec",
@@ -231,7 +242,6 @@ class ExecSpec:
 
     mode: str = "auto"
     processes: int | None = None
-    chunksize: int = 1
     retries: int = 3
     task_timeout: float | None = None
 
@@ -244,8 +254,6 @@ class ExecSpec:
             raise PlanError(
                 f"exec mode 'serial' contradicts processes={self.processes}"
             )
-        if self.chunksize < 1:
-            raise PlanError(f"chunksize must be >= 1; got {self.chunksize}")
         if not isinstance(self.retries, int) or self.retries < 1:
             raise PlanError(f"retries must be a positive int; got {self.retries!r}")
         if self.task_timeout is not None and self.task_timeout <= 0:
@@ -268,10 +276,8 @@ def _warn_oversubscribed(processes: int | None) -> None:
     on production sweeps it usually means a copy-pasted process count,
     so the first offending plan gets a heads-up.
     """
-    from .parallel.pool import available_cpus
-
     global _OVERSUB_WARNED
-    cores = available_cpus()
+    cores = pool.available_cpus()
     if _OVERSUB_WARNED or processes is None or processes <= cores:
         return
     _OVERSUB_WARNED = True
@@ -454,8 +460,6 @@ class RunPlan:
                 f"{self.n_tasks()} (point, trial) tasks"
             )
         if self.results.sink == "spool":
-            from .durable.journal import seed_token
-
             if seed_token(self.seeds) is None:
                 raise PlanError(
                     "results sink 'spool' needs a reproducible seed lineage "
@@ -595,20 +599,18 @@ def _capped_threads(plan: RunPlan) -> int | None:
     threads = plan.backend.threads
     if threads is None or threads <= 1:
         return threads
-    from .parallel.pool import available_cpus, default_processes
-
     nproc = plan.execution.resolve_processes()
     if nproc is None:
         # The batched backend dispatches one task per grid point.
-        nproc = default_processes(len(plan.points()))
+        nproc = pool.default_processes(len(plan.points()))
     if nproc <= 1:
         return threads
-    cores = available_cpus()
+    cores = pool.available_cpus()
     return max(1, min(threads, cores // nproc))
 
 
-def _build_worker(plan: RunPlan):
-    """The plan's canonical picklable worker + its sweep backend name."""
+def _build_runner(plan: RunPlan):
+    """The plan's task runner around its canonical picklable worker."""
     pinned = plan.graph.mode == "pinned"
     # philox keeps the (graph, protocol) pair spawn — only the protocol
     # halves' interpretation changes, inside the engine
@@ -634,7 +636,7 @@ def _build_worker(plan: RunPlan):
                 else None
             ),
         )
-        return worker, "batched"
+        return _BatchPointRunner(worker, with_graph=pinned)
     worker = PerTrialWorker(
         plan.work.record,
         pinned=pinned,
@@ -642,7 +644,122 @@ def _build_worker(plan: RunPlan):
         builder=plan.graph.builder,
         cache_dir=cache_dir,
     )
-    return worker, "per_trial"
+    return _TrialBlockRunner(worker, with_graph=pinned)
+
+
+def _tasks(plan: RunPlan, points: list[dict], seeds: list) -> list[tuple[int, tuple]]:
+    """``(point index, (point, seed slice, trial indices))`` in grid order.
+
+    Task size follows from the plan.  Reference runs kept in memory get
+    one task per trial, which keeps pool parallelism for plans with few
+    points.  Everything else gets one task per point: the batched engine
+    wants a point's whole block, and a point is the spool's unit of
+    journaling and crash blame.
+    """
+    trials = plan.trials
+    per_trial = plan.backend.name == "reference" and plan.results.sink == "memory"
+    tasks = []
+    for i, point in enumerate(points):
+        lo = i * trials
+        if per_trial:
+            tasks += [(i, (point, seeds[lo + t : lo + t + 1], [t])) for t in range(trials)]
+        elif trials:
+            tasks.append((i, (point, seeds[lo : lo + trials], list(range(trials)))))
+    return tasks
+
+
+class _MemorySink:
+    """The pool returns the blocks; they are assembled in task order."""
+
+    done = frozenset()
+    policy = None
+
+    def open(self, keys: list[int], processes: int):
+        return nullcontext()
+
+    def table(self, blocks: list):
+        return sweep.assemble_blocks(blocks)
+
+
+class _SpoolSink:
+    """The durable sink: one checksummed block file per point plus a journal.
+
+    Every finished point is one atomic block file and one journal line,
+    and crash/timeout blame lands on whole points.  Completed points
+    found in a matching journal are skipped (their blocks re-verified by
+    checksum first); quarantined or torn points re-run with the seeds
+    the full spawn assigns them, which is what makes a resumed table
+    bit-identical to an uninterrupted one.
+    """
+
+    def __init__(self, plan: RunPlan, points: list[dict]):
+        self.plan = plan
+        self.points = points
+        self.root = Path(plan.results.dir)
+        self.root.mkdir(parents=True, exist_ok=True)
+        self.fingerprint = plan_fingerprint(plan)
+        self.fresh = not (self.root / JOURNAL_NAME).exists()
+        self.done: dict[int, dict] = {}
+        if not self.fresh:
+            reader = spool.SpoolReader(self.root)
+            found = reader.header.get("fingerprint")
+            if found != self.fingerprint:
+                raise ResumeMismatchError(
+                    f"{self.root / JOURNAL_NAME}: journal belongs to a different plan "
+                    f"(fingerprint {str(found)[:12]}…, this plan {self.fingerprint[:12]}…)"
+                )
+            self.done = reader.verified_completed()
+        self.policy = RetryPolicy(
+            max_attempts=plan.execution.retries,
+            task_timeout=plan.execution.task_timeout,
+            retry_exceptions=True,
+            on_failure="return",
+        )
+
+    @contextmanager
+    def open(self, keys: list[int], processes: int):
+        """Open the journal; yield the hook that persists each task's result.
+
+        ``keys[pos]`` is the point index of dispatched task ``pos``.
+        """
+        plan, points = self.plan, self.points
+        writer = JournalWriter(self.root / JOURNAL_NAME)
+        try:
+            if self.fresh:
+                writer.write_header(
+                    fingerprint=self.fingerprint,
+                    work=plan.work.name or getattr(plan.work.record, "__name__", "?"),
+                    points=len(points),
+                    trials=plan.trials,
+                    backend=plan.backend.name,
+                    processes=processes,
+                )
+
+            def persist(pos: int, result) -> None:
+                i = keys[pos]
+                if result is None:
+                    return  # the supervisor lost the task terminally; leave it pending
+                if isinstance(result, TaskFailure):
+                    writer.failure(
+                        i,
+                        point_params=points[i],
+                        failure_kind=result.kind,
+                        error=result.error,
+                        exc_type=result.exc_type,
+                        attempts=result.attempts,
+                    )
+                    return
+                rel, sha = spool.write_block(self.root, i, result)
+                writer.block(
+                    i, file=rel, sha256=sha, rows=result.n_trials, point_params=points[i]
+                )
+
+            yield persist
+        finally:
+            writer.close()
+
+    def table(self, blocks: list):
+        return spool.SpoolReader(self.root).table()
 
 
 def execute(plan: RunPlan, *, resume: str | os.PathLike | None = None):
@@ -676,147 +793,33 @@ def execute(plan: RunPlan, *, resume: str | os.PathLike | None = None):
             )
         plan = plan.override(results=replace(rs, sink="spool", dir=str(resume)))
     plan.validate()
-    if plan.results.sink == "spool":
-        return _execute_durable(plan)
-    worker, sweep_backend = _build_worker(plan)
-    return run_sweep(
-        worker,
-        plan.grid,
-        n_trials=plan.trials,
-        seed=plan.seeds.root,
-        seeds=plan.seeds.seeds,
-        processes=plan.execution.resolve_processes(),
-        chunksize=plan.execution.chunksize,
-        backend=sweep_backend,
-        graph=plan.graph.graph if plan.graph.mode == "pinned" else None,
-        results=plan.results.mode,
-    )
-
-
-def _execute_durable(plan: RunPlan):
-    """The spool-sink pipeline: journal, supervised dispatch, assembly.
-
-    The unit of work is one grid point under *both* backends — the
-    reference backend's per-trial worker is looped over a point's trial
-    block in-process (:class:`~repro.parallel.sweep._TrialBlockRunner`)
-    — so every finished point is one atomic checksummed block file plus
-    one journal line, and crash/timeout blame lands on whole points.
-    Completed points found in a matching journal are skipped (their
-    blocks re-verified by checksum first); quarantined or torn points
-    re-run with the seeds the full spawn assigns them, which is what
-    makes a resumed table bit-identical to an uninterrupted one.
-    """
-    from .durable.journal import JOURNAL_NAME, JournalWriter, plan_fingerprint
-    from .durable.spool import SpoolReader, write_block
-    from .durable.supervisor import RetryPolicy, TaskFailure
-    from .errors import ResumeMismatchError
-    from .parallel.pool import default_processes, map_parallel
-    from .parallel.shared import graph_context
-    from .parallel.sweep import _BatchPointRunner, _TrialBlockRunner
-    from .rng import spawn_seeds
-
     points = plan.points()
-    trials = plan.trials
-    fingerprint = plan_fingerprint(plan)
-    root = Path(plan.results.dir)
-    root.mkdir(parents=True, exist_ok=True)
-    journal_path = root / JOURNAL_NAME
-
-    done: dict[int, dict] = {}
-    fresh = not journal_path.exists()
-    if not fresh:
-        reader = SpoolReader(root)
-        found = reader.header.get("fingerprint")
-        if found != fingerprint:
-            raise ResumeMismatchError(
-                f"{journal_path}: journal belongs to a different plan "
-                f"(fingerprint {str(found)[:12]}…, this plan {fingerprint[:12]}…)"
-            )
-        done = reader.verified_completed()
-    pending = [i for i in range(len(points)) if i not in done]
-
-    nproc = plan.execution.resolve_processes()
-    if nproc is None:
-        nproc = default_processes(max(1, len(pending)))
-
     if plan.seeds.seeds is not None:
         seeds = list(plan.seeds.seeds)
     else:
-        seeds = spawn_seeds(plan.seeds.root, len(points) * trials)
-
-    worker, sweep_backend = _build_worker(plan)
-    pinned = plan.graph.mode == "pinned"
-    if sweep_backend == "batched":
-        runner = _BatchPointRunner(worker, with_graph=pinned, columnar=True)
+        seeds = spawn_seeds(plan.seeds.root, len(points) * plan.trials)
+    sink = _SpoolSink(plan, points) if plan.results.sink == "spool" else _MemorySink()
+    keyed = [(i, task) for i, task in _tasks(plan, points, seeds) if i not in sink.done]
+    nproc = plan.execution.resolve_processes()
+    if nproc is None:
+        nproc = pool.default_processes(max(1, len(keyed)))
+    if plan.graph.mode == "pinned":
+        graph_ctx = graph_context(plan.graph.graph, processes=nproc)
     else:
-        runner = _TrialBlockRunner(worker, with_graph=pinned)
-    tasks = [
-        (points[i], seeds[i * trials : (i + 1) * trials], list(range(trials)))
-        for i in pending
-    ]
-    if trials == 0:
-        tasks = []
-        pending = []
-
-    writer = JournalWriter(journal_path)
-    try:
-        if fresh:
-            writer.write_header(
-                fingerprint=fingerprint,
-                work=plan.work.name or getattr(plan.work.record, "__name__", "?"),
-                points=len(points),
-                trials=trials,
-                backend=plan.backend.name,
-                processes=nproc,
-            )
-
-        def persist(pos: int, result) -> None:
-            i = pending[pos]
-            if result is None:
-                return  # the supervisor lost the task terminally; leave it pending
-            if isinstance(result, TaskFailure):
-                writer.failure(
-                    i,
-                    point_params=points[i],
-                    failure_kind=result.kind,
-                    error=result.error,
-                    exc_type=result.exc_type,
-                    attempts=result.attempts,
-                )
-                return
-            rel, sha = write_block(root, i, result)
-            writer.block(
-                i, file=rel, sha256=sha, rows=result.n_trials, point_params=points[i]
-            )
-
-        policy = RetryPolicy(
-            max_attempts=plan.execution.retries,
-            task_timeout=plan.execution.task_timeout,
-            retry_exceptions=True,
-            on_failure="return",
+        graph_ctx = nullcontext((None, None, ()))
+    with sink.open([i for i, _ in keyed], nproc) as on_result, graph_ctx as (
+        _view,
+        initializer,
+        initargs,
+    ):
+        blocks = pool.map_parallel(
+            _build_runner(plan),
+            [task for _, task in keyed],
+            processes=nproc,
+            initializer=initializer,
+            initargs=initargs,
+            policy=sink.policy,
+            on_result=on_result,
         )
-        if tasks:
-            if pinned:
-                with graph_context(plan.graph.graph, processes=nproc) as (
-                    _view,
-                    initializer,
-                    initargs,
-                ):
-                    map_parallel(
-                        runner,
-                        tasks,
-                        processes=nproc,
-                        initializer=initializer,
-                        initargs=initargs,
-                        policy=policy,
-                        on_result=persist,
-                    )
-            else:
-                map_parallel(
-                    runner, tasks, processes=nproc, policy=policy, on_result=persist
-                )
-    finally:
-        writer.close()
-
-    table = SpoolReader(root).table()
+    table = sink.table(blocks)
     return table if plan.results.mode == "columnar" else table.to_records()

@@ -1,13 +1,12 @@
 """Randomness utilities: seed management and replayable random tapes.
 
 The paper's protocols are driven entirely by with-replacement uniform
-choices made by clients.  To let two independent implementations (the
-vectorized engine in :mod:`repro.core` and the faithful agent simulator
-in :mod:`repro.agents`) execute *bit-identical* runs, all protocol
-randomness is funneled through a :class:`RandomTape`: a pre-drawn (or
-lazily grown) sequence of uniforms in ``[0, 1)`` consumed in a canonical
-order documented in DESIGN.md §6 (round-major, then client index, then
-ball slot).
+choices made by clients.  So that a run can be replayed exactly (and
+the batched engine checked against the reference engine in
+:mod:`repro.core`), all protocol randomness is funneled through a
+:class:`RandomTape`: a pre-drawn (or lazily grown) sequence of uniforms
+in ``[0, 1)`` consumed in a canonical order documented in DESIGN.md §6
+(round-major, then client index, then ball slot).
 
 Seed handling follows NumPy best practice: a single
 :class:`numpy.random.SeedSequence` is spawned into independent child
@@ -21,7 +20,7 @@ drawn ``k-1`` values first, which forces the batched engine to fill its
 per-round uniforms through a stateful read-ahead.  The **Philox4x32-10**
 lineage here is *counter-based*: the uniform for (trial, round, slot) is
 a pure function of a 128-bit counter and a 64-bit key, so any chunking,
-thread count, prefetch order, or device produces identical bits.  A
+thread count or prefetch order produces identical bits.  A
 trial's identity is four ``uint32`` words ``(k0, k1, c2, c3)`` derived
 from its normally-spawned :class:`~numpy.random.SeedSequence`
 (:func:`philox_seed_words`), and draw ``s`` of round ``r`` reads counter
@@ -73,8 +72,7 @@ def philox4x32(counter, key, rounds: int = PHILOX_ROUNDS):
     Inputs are ``uint32``-valued (any integer dtype is accepted and
     masked); the return is the four ``uint32`` output words per column.
     This is the reference implementation the C fill in
-    ``repro/batch/_kernels.c`` and the device twin in
-    :mod:`repro.batch.device` are parity-pinned against; it matches the
+    ``repro/batch/_kernels.c`` is parity-pinned against; it matches the
     Random123 ``philox4x32`` known-answer vectors at ``rounds=10``.
     """
     ctr = np.atleast_2d(np.asarray(counter))

@@ -20,7 +20,7 @@ def regular_graph():
 
 @pytest.fixture(scope="session")
 def small_regular_graph():
-    """32×32 8-regular — for the slower agent-level tests."""
+    """32×32 8-regular — for the slower slot-mode coupling tests."""
     return random_regular_bipartite(n=32, degree=8, seed=999)
 
 

@@ -1,11 +1,14 @@
-"""Byte-level golden for the configuration-model generators.
+"""Byte-level golden for the random graph generators.
 
 Pins the sha256 of all four CSR arrays (bytes and dtype) of the
 configuration-model families — ``random_regular_bipartite`` (sparse and
 dense, the complement branch), ``biregular`` with a degree remainder,
 ``near_regular``, ``paper_extremal`` and one tight sequence whose repair
-walk stalls and restarts — at three seeds each, so a rewrite of the
-build path must reproduce every graph bit for bit.
+walk stalls and restarts — and of the distinct-sampling families —
+``trust_subsets`` (sparse, and dense through the complement),
+``erdos_renyi_bipartite`` (padded rows, and dense rows through the mixed
+path) and ``community_bipartite`` — at three seeds each, so a rewrite of
+the build path must reproduce every graph bit for bit.
 
 Regenerate (only when a change of graph law is intended)::
 
@@ -22,7 +25,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.graphs import biregular, near_regular, paper_extremal, random_regular_bipartite
+from repro.graphs import (
+    biregular,
+    community_bipartite,
+    erdos_renyi_bipartite,
+    near_regular,
+    paper_extremal,
+    random_regular_bipartite,
+    trust_subsets,
+)
 
 GOLDEN = Path(__file__).parent / "data" / "graph_golden.json"
 ARRAYS = ("client_indptr", "client_indices", "server_indptr", "server_indices")
@@ -35,6 +46,11 @@ BUILDS = {
     "near_regular": lambda rng: near_regular(400, 20, 45, seed=rng),
     "paper_extremal": lambda rng: paper_extremal(2048, eta=0.5, seed=rng),
     "tight_restart": lambda rng: near_regular(16, 1, 16, seed=rng),
+    "trust_sparse": lambda rng: trust_subsets(300, 100, 20, seed=rng),
+    "trust_dense": lambda rng: trust_subsets(200, 60, 45, seed=rng),
+    "erdos_renyi_sparse": lambda rng: erdos_renyi_bipartite(300, 200, 0.1, seed=rng),
+    "erdos_renyi_dense": lambda rng: erdos_renyi_bipartite(120, 80, 0.6, seed=rng),
+    "community": lambda rng: community_bipartite(300, 3, 20, 10, seed=rng),
 }
 # Seeds at which the "tight_restart" repair walk stalls and restarts.
 RESTART_SEEDS = (2, 7, 16)

@@ -10,12 +10,14 @@ import numpy as np
 import repro
 from repro.analysis import fit_powerlaw, format_table, load_stats
 from repro.graphs.io import load_npz, save_npz
-from repro.parallel import ParameterGrid, run_sweep, summarize
+from repro.parallel import ParameterGrid, summarize
 
 
-def _trial(point, seed_seq, trial):
-    g_seed, p_seed = seed_seq.spawn(2)
-    g = repro.graphs.trust_subsets(point["n"], point["n"], point["k"], seed=g_seed)
+def _trust_graph(point, g_seed, cache_dir):
+    return repro.graphs.trust_subsets(point["n"], point["n"], point["k"], seed=g_seed)
+
+
+def _trial(g, point, p_seed):
     res = repro.run_saer(g, point["c"], point["d"], seed=p_seed)
     stats = load_stats(res.loads, capacity=res.params.capacity)
     return {
@@ -25,6 +27,17 @@ def _trial(point, seed_seq, trial):
         "max_load": res.max_load,
         "gini": stats.gini,
     }
+
+
+def _sweep(grid, *, trials, seed, processes):
+    return repro.RunPlan(
+        grid=grid,
+        work=repro.WorkSpec(record=_trial),
+        trials=trials,
+        seeds=repro.SeedSpec(root=seed),
+        graph=repro.GraphSpec(builder=_trust_graph),
+        execution=repro.ExecSpec(processes=processes),
+    )
 
 
 class TestEndToEnd:
@@ -43,7 +56,7 @@ class TestEndToEnd:
 
         # 3. parallel sweep over n with per-trial independence
         grid = ParameterGrid(n=[64, 128, 256], k=[36], c=[2.0], d=[4])
-        recs = run_sweep(_trial, grid, n_trials=3, seed=11, processes=2)
+        recs = repro.execute(_sweep(grid, trials=3, seed=11, processes=2))
         assert len(recs) == 9
         assert all(r["completed"] for r in recs)
 
@@ -68,6 +81,6 @@ class TestEndToEnd:
 
     def test_pipeline_reproducible_across_process_counts(self):
         grid = ParameterGrid(n=[64], k=[36], c=[2.0], d=[4])
-        serial = run_sweep(_trial, grid, n_trials=4, seed=13, processes=1)
-        parallel = run_sweep(_trial, grid, n_trials=4, seed=13, processes=4)
+        serial = repro.execute(_sweep(grid, trials=4, seed=13, processes=1))
+        parallel = repro.execute(_sweep(grid, trials=4, seed=13, processes=4))
         assert serial == parallel

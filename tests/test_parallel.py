@@ -1,45 +1,67 @@
-"""Tests for the process-pool harness, sweeps and aggregation."""
+"""Tests for the process-pool harness, plan dispatch and aggregation."""
 
 import numpy as np
 import pytest
 
+from repro.errors import PlanError
 from repro.parallel import (
     ParameterGrid,
     aggregate_records,
     map_parallel,
-    monte_carlo,
-    run_sweep,
     summarize,
 )
 from repro.parallel.pool import default_processes
+from repro.plan import (
+    BackendSpec,
+    ExecSpec,
+    GraphSpec,
+    ResultSpec,
+    RunPlan,
+    SeedSpec,
+    WorkSpec,
+    execute,
+)
 
 
 def _square(x):
     return x * x
 
 
-def _trial(seed_seq, index):
-    rng = np.random.default_rng(seed_seq)
-    return {"index": index, "value": float(rng.random())}
+def _no_graph(point, seed, cache_dir):
+    """Graph builder for plans whose work needs no topology."""
+    return None
 
 
-def _point(point, seed_seq, trial):
+def _point(graph, point, seed_seq):
     rng = np.random.default_rng(seed_seq)
     return {"value": point["a"] * 10 + float(rng.random())}
 
 
-def _trial_block(seed_seqs, indices):
-    """Batch-capable twin of _trial: one call per block of trials."""
-    return [_trial(s, i) for s, i in zip(seed_seqs, indices)]
-
-
-def _point_block(point, seed_seqs, trials):
+def _point_block(graph, point, seed_seqs):
     """Batch-capable twin of _point: one call per grid point."""
-    return [_point(point, s, t) for s, t in zip(seed_seqs, trials)]
+    return [_point(graph, point, s) for s in seed_seqs]
 
 
-def _bad_block(seed_seqs, indices):
-    return [0]  # wrong cardinality
+def _bad_block(graph, point, seed_seqs):
+    return [{"value": 0.0}]  # wrong cardinality
+
+
+def _plan(batch=_point_block, *, grid=None, trials=1, seed=0, backend="reference",
+          processes=1, results="records", spool=None):
+    """A plan over ``_point``/``batch`` with no topology to build."""
+    return RunPlan(
+        grid=grid if grid is not None else ParameterGrid(a=[1]),
+        work=WorkSpec(record=_point, batch=batch),
+        trials=trials,
+        seeds=SeedSpec(root=seed),
+        backend=BackendSpec(name=backend),
+        graph=GraphSpec(builder=_no_graph),
+        execution=ExecSpec(processes=processes),
+        results=ResultSpec(
+            mode=results, sink="spool" if spool else "memory",
+            dir=str(spool) if spool else None,
+        ),
+    )
 
 
 class TestMapParallel:
@@ -59,69 +81,66 @@ class TestMapParallel:
 
 
 class TestMonteCarlo:
+    """One grid point × trials: the plain Monte-Carlo shape."""
+
     def test_trial_count_and_order(self):
-        out = monte_carlo(_trial, 5, seed=1, processes=1)
-        assert [r["index"] for r in out] == list(range(5))
+        out = execute(_plan(trials=5, seed=1))
+        assert [r["trial"] for r in out] == list(range(5))
 
     def test_deterministic_for_seed(self):
-        a = monte_carlo(_trial, 6, seed=42, processes=1)
-        b = monte_carlo(_trial, 6, seed=42, processes=1)
-        assert a == b
+        assert execute(_plan(trials=6, seed=42)) == execute(_plan(trials=6, seed=42))
 
     def test_serial_parallel_identical(self):
         """Results must not depend on the degree of parallelism."""
-        a = monte_carlo(_trial, 8, seed=7, processes=1)
-        b = monte_carlo(_trial, 8, seed=7, processes=4)
+        a = execute(_plan(trials=8, seed=7, processes=1))
+        b = execute(_plan(trials=8, seed=7, processes=4))
         assert a == b
 
     def test_trials_independent(self):
-        out = monte_carlo(_trial, 10, seed=0, processes=1)
-        vals = [r["value"] for r in out]
-        assert len(set(vals)) == 10
+        out = execute(_plan(trials=10, seed=0))
+        assert len({r["value"] for r in out}) == 10
 
     def test_zero_trials(self):
-        assert monte_carlo(_trial, 0, seed=0) == []
+        assert execute(_plan(trials=0)) == []
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            monte_carlo(_trial, -1, seed=0)
+        with pytest.raises(PlanError):
+            execute(_plan(trials=-1))
 
 
 class TestMonteCarloBatchedBackend:
     """backend="batched": block execution, identical seeds and order."""
 
     def test_matches_per_trial_backend(self):
-        a = monte_carlo(_trial, 9, seed=17, processes=1)
-        b = monte_carlo(_trial_block, 9, seed=17, processes=1, backend="batched")
+        a = execute(_plan(trials=9, seed=17))
+        b = execute(_plan(trials=9, seed=17, backend="batched"))
         assert a == b
 
-    def test_batch_size_does_not_change_results(self):
-        base = monte_carlo(_trial_block, 10, seed=3, processes=1, backend="batched")
-        for batch_size in (1, 3, 10, 99):
-            out = monte_carlo(
-                _trial_block, 10, seed=3, processes=1, backend="batched", batch_size=batch_size
-            )
-            assert out == base
+    def test_batch_size_does_not_change_results(self, tmp_path):
+        """Task size never changes results: one trial per task (reference
+        to memory) and a point's whole block per task (reference to the
+        spool, batched to memory) give the same rows."""
+        grid = ParameterGrid(a=[1, 2])
+        base = execute(_plan(grid=grid, trials=5, seed=3))
+        assert execute(_plan(grid=grid, trials=5, seed=3, spool=tmp_path)) == base
+        assert execute(_plan(grid=grid, trials=5, seed=3, backend="batched")) == base
 
     def test_parallel_matches_serial(self):
-        a = monte_carlo(_trial_block, 8, seed=7, processes=1, backend="batched", batch_size=2)
-        b = monte_carlo(_trial_block, 8, seed=7, processes=4, backend="batched", batch_size=2)
+        grid = ParameterGrid(a=[1, 2, 3, 4])
+        a = execute(_plan(grid=grid, trials=2, seed=7, backend="batched", processes=1))
+        b = execute(_plan(grid=grid, trials=2, seed=7, backend="batched", processes=4))
         assert a == b
 
     def test_zero_trials(self):
-        assert monte_carlo(_trial_block, 0, seed=0, backend="batched") == []
+        assert execute(_plan(trials=0, backend="batched")) == []
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            monte_carlo(_trial, 3, seed=0, backend="threads")
-
-    def test_bad_batch_size_rejected(self):
-        with pytest.raises(ValueError):
-            monte_carlo(_trial_block, 3, seed=0, backend="batched", batch_size=0)
+        with pytest.raises(PlanError, match="unknown backend"):
+            execute(_plan(backend="threads"))
 
     def test_cardinality_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            monte_carlo(_bad_block, 3, seed=0, processes=1, backend="batched")
+        with pytest.raises(ValueError, match="for 3 trials"):
+            execute(_plan(_bad_block, trials=3, backend="batched"))
 
 
 class TestParameterGrid:
@@ -150,36 +169,33 @@ class TestParameterGrid:
 
 class TestRunSweep:
     def test_record_shape(self):
-        grid = ParameterGrid(a=[1, 2])
-        recs = run_sweep(_point, grid, n_trials=3, seed=0, processes=1)
+        recs = execute(_plan(grid=ParameterGrid(a=[1, 2]), trials=3))
         assert len(recs) == 6
         assert {r["a"] for r in recs} == {1, 2}
         assert {r["trial"] for r in recs} == {0, 1, 2}
 
     def test_deterministic_and_pool_invariant(self):
         grid = ParameterGrid(a=[1, 2, 3])
-        a = run_sweep(_point, grid, n_trials=2, seed=9, processes=1)
-        b = run_sweep(_point, grid, n_trials=2, seed=9, processes=3)
+        a = execute(_plan(grid=grid, trials=2, seed=9, processes=1))
+        b = execute(_plan(grid=grid, trials=2, seed=9, processes=3))
         assert a == b
 
     def test_batched_backend_matches_per_trial(self):
         # Same (point, trial) seeds under both backends ⇒ same records.
         grid = ParameterGrid(a=[1, 2, 3])
-        a = run_sweep(_point, grid, n_trials=4, seed=9, processes=1)
-        b = run_sweep(
-            _point_block, grid, n_trials=4, seed=9, processes=1, backend="batched"
-        )
+        a = execute(_plan(grid=grid, trials=4, seed=9))
+        b = execute(_plan(grid=grid, trials=4, seed=9, backend="batched"))
         assert a == b
 
     def test_batched_backend_pool_invariant(self):
         grid = ParameterGrid(a=[1, 2])
-        a = run_sweep(_point_block, grid, n_trials=3, seed=5, processes=1, backend="batched")
-        b = run_sweep(_point_block, grid, n_trials=3, seed=5, processes=2, backend="batched")
+        a = execute(_plan(grid=grid, trials=3, seed=5, backend="batched", processes=1))
+        b = execute(_plan(grid=grid, trials=3, seed=5, backend="batched", processes=2))
         assert a == b
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            run_sweep(_point, ParameterGrid(a=[1]), backend="gpu")
+        with pytest.raises(PlanError, match="unknown backend"):
+            execute(_plan(backend="gpu"))
 
 
 class TestSummarize:
@@ -235,14 +251,14 @@ from repro.batch.results import ResultBlock  # noqa: E402
 from repro.parallel import ResultTable, assemble_blocks  # noqa: E402
 
 
-def _point_block_as_block(point, seed_seqs, trials):
+def _point_block_as_block(graph, point, seed_seqs):
     """Batch worker that returns a ResultBlock directly."""
-    records = [_point(point, s, t) for s, t in zip(seed_seqs, trials)]
-    return ResultBlock.from_records(point, trials, records)
+    records = _point_block(graph, point, seed_seqs)
+    return ResultBlock.from_records(point, range(len(seed_seqs)), records)
 
 
-def _short_block(point, seed_seqs, trials):
-    return ResultBlock.from_records(point, trials[:1], [{"value": 0.0}])
+def _short_block(graph, point, seed_seqs):
+    return ResultBlock.from_records(point, [0], [{"value": 0.0}])
 
 
 class TestColumnarSweep:
@@ -252,73 +268,56 @@ class TestColumnarSweep:
 
     def test_batched_columnar_matches_records(self):
         grid = ParameterGrid(**self.GRID)
-        recs = run_sweep(
-            _point_block, grid, n_trials=4, seed=9, processes=1, backend="batched"
-        )
-        table = run_sweep(
-            _point_block, grid, n_trials=4, seed=9, processes=1,
-            backend="batched", results="columnar",
+        recs = execute(_plan(grid=grid, trials=4, seed=9, backend="batched"))
+        table = execute(
+            _plan(grid=grid, trials=4, seed=9, backend="batched", results="columnar")
         )
         assert isinstance(table, ResultTable)
         assert list(table) == recs
 
     def test_per_trial_columnar_matches_records(self):
         grid = ParameterGrid(**self.GRID)
-        recs = run_sweep(_point, grid, n_trials=3, seed=2, processes=1)
-        table = run_sweep(
-            _point, grid, n_trials=3, seed=2, processes=1, results="columnar"
-        )
+        recs = execute(_plan(grid=grid, trials=3, seed=2))
+        table = execute(_plan(grid=grid, trials=3, seed=2, results="columnar"))
         assert list(table) == recs
 
     def test_parallel_columnar_matches_serial(self):
         grid = ParameterGrid(a=[1, 2], b=["x"])
-        a = run_sweep(
-            _point_block, grid, n_trials=4, seed=5, processes=1,
-            backend="batched", results="columnar",
-        )
-        b = run_sweep(
-            _point_block, grid, n_trials=4, seed=5, processes=2,
-            backend="batched", results="columnar",
-        )
+        a = execute(_plan(
+            grid=grid, trials=4, seed=5, backend="batched", results="columnar",
+        ))
+        b = execute(_plan(
+            grid=grid, trials=4, seed=5, backend="batched", results="columnar",
+            processes=2,
+        ))
         assert list(a) == list(b)
 
     def test_point_fn_may_return_blocks(self):
         grid = ParameterGrid(**self.GRID)
-        via_dicts = run_sweep(
-            _point_block, grid, n_trials=3, seed=7, processes=1,
-            backend="batched", results="columnar",
+        via_dicts = execute(
+            _plan(grid=grid, trials=3, seed=7, backend="batched", results="columnar")
         )
-        via_blocks = run_sweep(
-            _point_block_as_block, grid, n_trials=3, seed=7, processes=1,
-            backend="batched", results="columnar",
-        )
+        via_blocks = execute(_plan(
+            _point_block_as_block, grid=grid, trials=3, seed=7, backend="batched",
+            results="columnar",
+        ))
         assert list(via_blocks) == list(via_dicts)
         # and in records mode a returned block is unpacked to dicts
-        recs = run_sweep(
-            _point_block_as_block, grid, n_trials=3, seed=7, processes=1,
-            backend="batched",
+        recs = execute(
+            _plan(_point_block_as_block, grid=grid, trials=3, seed=7, backend="batched")
         )
         assert recs == list(via_dicts)
 
     def test_wrong_length_block_rejected(self):
-        grid = ParameterGrid(a=[1])
         with pytest.raises(ValueError, match="block of 1"):
-            run_sweep(
-                _short_block, grid, n_trials=3, seed=0, processes=1,
-                backend="batched", results="columnar",
-            )
+            execute(_plan(_short_block, trials=3, backend="batched"))
 
     def test_unknown_results_mode_rejected(self):
-        with pytest.raises(ValueError, match="results mode"):
-            run_sweep(
-                _point, ParameterGrid(a=[1]), n_trials=1, seed=0, results="arrow"
-            )
+        with pytest.raises(PlanError, match="results mode"):
+            execute(_plan(results="arrow"))
 
     def test_zero_trials_columnar(self):
-        table = run_sweep(
-            _point_block, ParameterGrid(a=[1]), n_trials=0, seed=0,
-            backend="batched", results="columnar",
-        )
+        table = execute(_plan(trials=0, backend="batched", results="columnar"))
         assert len(table) == 0 and list(table) == []
 
 
@@ -437,11 +436,11 @@ class TestWorkerState:
         assert a.engine_buffers is b.engine_buffers
 
 
-def _ragged_block(point, seed_seqs, trials):
+def _ragged_block(graph, point, seed_seqs):
     """Worker with a conditional record key (trial 0 lacks 'err')."""
     out = []
-    for s, t in zip(seed_seqs, trials):
-        rec = _point(point, s, t)
+    for t, s in enumerate(seed_seqs):
+        rec = _point(graph, point, s)
         if t > 0:
             rec["err"] = float(t) / 10
         out.append(rec)
@@ -451,18 +450,14 @@ def _ragged_block(point, seed_seqs, trials):
 class TestColumnarHeterogeneousRecords:
     def test_conditional_keys_survive(self):
         grid = ParameterGrid(a=[1, 2])
-        table = run_sweep(
-            _ragged_block, grid, n_trials=3, seed=4, processes=1,
-            backend="batched", results="columnar",
-        )
-        recs = run_sweep(
-            _ragged_block, grid, n_trials=3, seed=4, processes=1, backend="batched"
-        )
+        table = execute(_plan(
+            _ragged_block, grid=grid, trials=3, seed=4, backend="batched",
+            results="columnar",
+        ))
+        recs = execute(_plan(_ragged_block, grid=grid, trials=3, seed=4, backend="batched"))
         assert "err" in table.fields
-        for got, want in zip(table, recs):
-            want = dict(want)
-            want.setdefault("err", None)  # absent key materializes as None
-            assert got == want
+        assert list(table) == recs
+        assert recs[0]["err"] is None  # absent key materializes as None
         agg_t = aggregate_records(table, ["a"], ["err"])
         agg_r = aggregate_records(recs, ["a"], ["err"])
         assert agg_t == agg_r

@@ -1,6 +1,6 @@
 """Tests for the unified execution-plan layer (:mod:`repro.plan`).
 
-Three pillars:
+Four pillars:
 
 * **validation / round-trip** — a :class:`RunPlan` is data; bad axis
   combinations fail loudly at validation time, good ones survive a
@@ -9,9 +9,10 @@ Three pillars:
   results-carrier must be *bit-identical* to the pre-refactor outputs
   captured in ``tests/data/plan_golden.json`` (generated at the seed
   commit, pinned seeds);
-* **columnar monte_carlo** — the results spool extended to
-  :func:`repro.parallel.monte_carlo` must match the per-trial objects
-  row-for-row.
+* **one pipeline** — every plan runs as ``ResultBlock`` tasks into a
+  memory or spool sink: columnar tables match record lists row-for-row,
+  and the task size follows from the plan (one task per trial for
+  reference runs kept in memory, one per point otherwise).
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ import pytest
 from repro.errors import PlanError
 from repro.experiments import runners as R
 from repro.graphs.families import build_point_graph, canonical_degree, family_spec
-from repro.parallel import ResultTable, monte_carlo
-from repro.parallel.sweep import ParameterGrid, run_sweep
+from repro.parallel import ResultTable, map_parallel, pool
+from repro.parallel.sweep import ParameterGrid
 from repro.plan import (
     BackendSpec,
     BatchWorker,
@@ -423,111 +424,160 @@ class TestKernelThreadsDispatch:
         recs = execute(self._probe_plan(threads=4, mode="serial"))
         assert recs and all(r["eff_threads"] == 4 for r in recs)
 
-    def test_monte_carlo_pool_workers_reset_env(self, monkeypatch):
+    def test_map_parallel_pool_workers_reset_env(self, monkeypatch):
         """The reset is a map_parallel property, not a plan-layer one:
-        every pooled dispatch (monte_carlo included) gets it."""
+        every pooled dispatch gets it."""
         monkeypatch.setenv("REPRO_KERNEL_THREADS", "4")
-        recs = monte_carlo(
-            _mc_probe_block, 4, seed=0, processes=2, backend="batched",
-            batch_size=2,
-        )
-        assert recs and all(r["eff_threads"] == 1 for r in recs)
+        effs = map_parallel(_probe_env_threads, range(4), processes=2)
+        assert effs == [1, 1, 1, 1]
 
 
-def _mc_probe_block(seed_seqs, indices):
+def _probe_env_threads(_item):
     from repro.batch.kernels import resolve_threads
 
-    eff = resolve_threads(None)
-    return [{"eff_threads": eff} for _ in indices]
+    return resolve_threads(None)
+
+
+def _no_graph(point, seed, cache_dir):
+    """Graph builder for plans whose work needs no topology."""
+    return None
+
+
+def _mc_value(graph, point, seed):
+    return {"value": float(np.random.default_rng(seed).random())}
+
+
+def _mc_value_block(graph, point, seeds):
+    return [_mc_value(graph, point, s) for s in seeds]
+
+
+def _not_a_dict(graph, point, seed):
+    return 0
+
+
+def _mc_plan(trials: int, seed, **overrides) -> RunPlan:
+    """One grid point × ``trials``: the plain Monte-Carlo shape."""
+    base = dict(
+        grid=ParameterGrid(a=[1]),
+        work=WorkSpec(record=_mc_value, batch=_mc_value_block),
+        trials=trials,
+        seeds=SeedSpec(root=seed),
+        graph=GraphSpec(builder=_no_graph),
+        execution=ExecSpec(mode="serial"),
+    )
+    base.update(overrides)
+    return RunPlan(**base)
+
+
+COLUMNAR = ResultSpec(mode="columnar")
+BATCHED = BackendSpec(name="batched")
 
 
 class TestMonteCarloColumnar:
-    """Satellite: the columnar spool extended to parallel.monte_carlo."""
-
-    @staticmethod
-    def _trial(seed_seq, index):
-        rng = np.random.default_rng(seed_seq)
-        return {"index": index, "value": float(rng.random())}
-
-    @classmethod
-    def _trial_block(cls, seed_seqs, indices):
-        return [cls._trial(s, i) for s, i in zip(seed_seqs, indices)]
+    """Columnar tables match record lists for one-point plans."""
 
     def test_per_trial_row_for_row(self):
-        recs = monte_carlo(self._trial, 7, seed=3, processes=1)
-        table = monte_carlo(self._trial, 7, seed=3, processes=1, results="columnar")
+        recs = execute(_mc_plan(7, 3))
+        table = execute(_mc_plan(7, 3, results=COLUMNAR))
         assert isinstance(table, ResultTable)
         assert list(table) == recs
 
     def test_batched_row_for_row(self):
-        recs = monte_carlo(
-            self._trial_block, 9, seed=11, processes=1, backend="batched",
-            batch_size=4,
-        )
-        table = monte_carlo(
-            self._trial_block, 9, seed=11, processes=1, backend="batched",
-            batch_size=4, results="columnar",
-        )
+        recs = execute(_mc_plan(9, 11, backend=BATCHED))
+        table = execute(_mc_plan(9, 11, backend=BATCHED, results=COLUMNAR))
         assert isinstance(table, ResultTable)
         assert list(table) == recs
 
     def test_parallel_matches_serial(self):
-        a = monte_carlo(
-            self._trial_block, 8, seed=2, processes=1, backend="batched",
-            batch_size=2, results="columnar",
-        )
-        b = monte_carlo(
-            self._trial_block, 8, seed=2, processes=2, backend="batched",
-            batch_size=2, results="columnar",
-        )
+        a = execute(_mc_plan(8, 2, results=COLUMNAR))
+        b = execute(_mc_plan(8, 2, results=COLUMNAR, execution=ExecSpec(processes=2)))
         assert list(a) == list(b)
 
     def test_zero_trials(self):
-        table = monte_carlo(self._trial, 0, seed=0, results="columnar")
+        table = execute(_mc_plan(0, 0, results=COLUMNAR))
         assert isinstance(table, ResultTable) and len(table) == 0
 
     def test_non_dict_results_rejected(self):
         with pytest.raises(ValueError, match="dict-like"):
-            monte_carlo(
-                lambda seed_seq, i: i, 3, seed=0, processes=1, results="columnar"
-            )
+            execute(_mc_plan(3, 0, work=WorkSpec(record=_not_a_dict)))
 
     def test_unknown_results_mode_rejected(self):
-        with pytest.raises(ValueError, match="results mode"):
-            monte_carlo(self._trial, 3, seed=0, results="arrow")
+        with pytest.raises(PlanError, match="results mode"):
+            execute(_mc_plan(3, 0, results=ResultSpec(mode="arrow")))
+
+
+class TestTaskGranularity:
+    """Task size follows from the plan: one task per trial for reference
+    runs kept in memory (pool parallelism for one-point plans), one task
+    per point for the batched backend and for every spool run."""
+
+    @pytest.mark.parametrize(
+        "backend,sink,n_tasks",
+        [
+            ("reference", "memory", 4),
+            ("batched", "memory", 1),
+            ("reference", "spool", 1),
+            ("batched", "spool", 1),
+        ],
+    )
+    def test_one_point_plan_dispatch(self, monkeypatch, tmp_path, backend, sink, n_tasks):
+        dispatched = []
+        real = pool.map_parallel
+
+        def counting(fn, items, **kwargs):
+            dispatched.append(len(items))
+            return real(fn, items, **kwargs)
+
+        monkeypatch.setattr(pool, "map_parallel", counting)
+        spool_dir = str(tmp_path / "spool") if sink == "spool" else None
+        recs = execute(_mc_plan(
+            4, 5,
+            backend=BackendSpec(name=backend),
+            results=ResultSpec(sink=sink, dir=spool_dir),
+        ))
+        assert dispatched == [n_tasks]
+        assert [r["trial"] for r in recs] == [0, 1, 2, 3]
+
+
+def _sweep_value(graph, point, seed):
+    rng = np.random.default_rng(seed)
+    return {"value": point["a"] * 10 + float(rng.random())}
 
 
 class TestRunSweepExtensions:
-    @staticmethod
-    def _point(point, seed_seq, trial):
-        rng = np.random.default_rng(seed_seq)
-        return {"value": point["a"] * 10 + float(rng.random())}
+    def _plan(self, grid, **seeds):
+        return RunPlan(
+            grid=grid,
+            work=WorkSpec(record=_sweep_value),
+            trials=2,
+            seeds=SeedSpec(**seeds),
+            graph=GraphSpec(builder=_no_graph),
+            execution=ExecSpec(mode="serial"),
+        )
 
     def test_explicit_point_list(self):
         pts = [{"a": 2}, {"a": 1}]  # order preserved, not re-sorted
-        recs = run_sweep(self._point, pts, n_trials=2, seed=4, processes=1)
+        recs = execute(self._plan(pts, root=4))
         assert [r["a"] for r in recs] == [2, 2, 1, 1]
 
     def test_explicit_seeds_override_spawn(self):
         grid = ParameterGrid(a=[1, 2])
-        seeds = np.random.SeedSequence(9).spawn(4)
-        via_root = run_sweep(self._point, grid, n_trials=2, seed=9, processes=1)
-        via_seeds = run_sweep(self._point, grid, n_trials=2, seeds=seeds, processes=1)
+        seeds = tuple(np.random.SeedSequence(9).spawn(4))
+        via_root = execute(self._plan(grid, root=9))
+        via_seeds = execute(self._plan(grid, seeds=seeds))
         assert via_root == via_seeds
 
     def test_seed_and_seeds_conflict(self):
-        with pytest.raises(ValueError, match="not both"):
-            run_sweep(
-                self._point, ParameterGrid(a=[1]), n_trials=1, seed=1,
-                seeds=[np.random.SeedSequence(0)],
-            )
+        with pytest.raises(PlanError, match="not both"):
+            execute(self._plan(
+                ParameterGrid(a=[1]), root=1, seeds=(np.random.SeedSequence(0),),
+            ))
 
     def test_wrong_seed_count(self):
-        with pytest.raises(ValueError, match="explicit seeds"):
-            run_sweep(
-                self._point, ParameterGrid(a=[1, 2]), n_trials=2,
-                seeds=[np.random.SeedSequence(0)],
-            )
+        with pytest.raises(PlanError, match="explicit seeds"):
+            execute(self._plan(
+                ParameterGrid(a=[1, 2]), seeds=(np.random.SeedSequence(0),),
+            ))
 
 
 class TestResultTableHelpers:

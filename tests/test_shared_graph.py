@@ -12,8 +12,15 @@ from repro.parallel import (
     SharedGraph,
     current_task_graph,
     graph_context,
-    monte_carlo,
-    run_sweep,
+)
+from repro.plan import (
+    BackendSpec,
+    ExecSpec,
+    GraphSpec,
+    RunPlan,
+    SeedSpec,
+    WorkSpec,
+    execute,
 )
 
 
@@ -28,22 +35,26 @@ def _graphs_equal(a, b) -> bool:
     )
 
 
-def _graph_trial(graph, seed_seq, index):
-    res = run_saer(graph, 2.0, 2, seed=seed_seq)
-    return {"index": index, "rounds": res.rounds, "work": res.work}
-
-
-def _graph_trial_block(graph, seed_seqs, indices):
-    return [_graph_trial(graph, s, i) for s, i in zip(seed_seqs, indices)]
-
-
-def _graph_point(graph, point, seed_seq, trial):
+def _graph_point(graph, point, seed_seq):
     res = run_saer(graph, point["c"], 2, seed=seed_seq)
-    return {"rounds": res.rounds}
+    return {"rounds": res.rounds, "work": res.work}
 
 
-def _graph_point_block(graph, point, seed_seqs, trials):
-    return [_graph_point(graph, point, s, t) for s, t in zip(seed_seqs, trials)]
+def _graph_point_block(graph, point, seed_seqs):
+    return [_graph_point(graph, point, s) for s in seed_seqs]
+
+
+def _pinned_plan(graph, *, grid=None, trials=1, seed=0, processes=1,
+                 backend="reference"):
+    return RunPlan(
+        grid=grid if grid is not None else ParameterGrid(c=[2.0]),
+        work=WorkSpec(record=_graph_point, batch=_graph_point_block),
+        trials=trials,
+        seeds=SeedSpec(root=seed),
+        backend=BackendSpec(name=backend),
+        graph=GraphSpec(mode="pinned", graph=graph),
+        execution=ExecSpec(processes=processes),
+    )
 
 
 @pytest.fixture(scope="module")
@@ -107,65 +118,54 @@ class TestGraphContext:
 
 
 class TestMonteCarloWithGraph:
+    """One point × trials on a pinned graph."""
+
     def test_serial_matches_parallel(self, graph):
-        a = monte_carlo(_graph_trial, 6, seed=9, processes=1, graph=graph)
-        b = monte_carlo(_graph_trial, 6, seed=9, processes=2, graph=graph)
+        a = execute(_pinned_plan(graph, trials=6, seed=9, processes=1))
+        b = execute(_pinned_plan(graph, trials=6, seed=9, processes=2))
         assert a == b
 
     def test_shared_memory_handle_matches(self, graph):
-        a = monte_carlo(_graph_trial, 6, seed=9, processes=1, graph=graph)
+        a = execute(_pinned_plan(graph, trials=6, seed=9, processes=1))
         with SharedGraph.share(graph) as sg:
-            c = monte_carlo(_graph_trial, 6, seed=9, processes=2, graph=sg)
+            c = execute(_pinned_plan(sg, trials=6, seed=9, processes=2))
         assert a == c
 
     def test_batched_backend_matches(self, graph):
-        a = monte_carlo(_graph_trial, 8, seed=4, processes=1, graph=graph)
-        b = monte_carlo(
-            _graph_trial_block,
-            8,
-            seed=4,
-            processes=2,
-            graph=graph,
-            backend="batched",
-            batch_size=3,
-        )
+        a = execute(_pinned_plan(graph, trials=8, seed=4, processes=1))
+        b = execute(_pinned_plan(graph, trials=8, seed=4, processes=2, backend="batched"))
         assert a == b
 
     def test_seeds_match_graphless_spawn(self, graph):
-        # graph= must not change which seed a trial sees.
-        def bare_trial(seed_seq, index):
-            return {"index": index, "entropy": seed_seq.spawn_key}
+        # A pinned graph must not change which seed a trial sees.
+        def entropy(g, point, seed_seq):
+            return {"entropy": seed_seq.spawn_key}
 
-        def with_graph(g, seed_seq, index):
-            return {"index": index, "entropy": seed_seq.spawn_key}
+        def no_graph(point, seed, cache_dir):
+            return None
 
-        a = monte_carlo(bare_trial, 5, seed=77, processes=1)
-        b = monte_carlo(with_graph, 5, seed=77, processes=1, graph=graph)
+        pinned = _pinned_plan(graph, trials=5, seed=77)
+        work = WorkSpec(record=entropy)
+        a = execute(pinned.override(work=work, graph=GraphSpec(builder=no_graph)))
+        b = execute(pinned.override(work=work))
         assert a == b
 
 
 class TestRunSweepWithGraph:
     def test_serial_matches_parallel(self, graph):
         grid = ParameterGrid(c=[1.5, 2.0, 4.0])
-        a = run_sweep(_graph_point, grid, n_trials=3, seed=5, processes=1, graph=graph)
-        b = run_sweep(_graph_point, grid, n_trials=3, seed=5, processes=2, graph=graph)
+        a = execute(_pinned_plan(graph, grid=grid, trials=3, seed=5, processes=1))
+        b = execute(_pinned_plan(graph, grid=grid, trials=3, seed=5, processes=2))
         assert a == b
 
     def test_batched_matches_per_trial(self, graph):
         grid = ParameterGrid(c=[1.5, 4.0])
-        a = run_sweep(_graph_point, grid, n_trials=4, seed=2, processes=1, graph=graph)
-        b = run_sweep(
-            _graph_point_block,
-            grid,
-            n_trials=4,
-            seed=2,
-            processes=2,
-            graph=graph,
-            backend="batched",
-        )
+        a = execute(_pinned_plan(graph, grid=grid, trials=4, seed=2, processes=1))
+        b = execute(_pinned_plan(
+            graph, grid=grid, trials=4, seed=2, processes=2, backend="batched",
+        ))
         assert a == b
 
     def test_records_carry_point_and_trial(self, graph):
-        grid = ParameterGrid(c=[2.0])
-        recs = run_sweep(_graph_point, grid, n_trials=2, seed=0, processes=1, graph=graph)
+        recs = execute(_pinned_plan(graph, trials=2))
         assert [(r["c"], r["trial"]) for r in recs] == [(2.0, 0), (2.0, 1)]
